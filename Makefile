@@ -6,12 +6,13 @@
 # (`make bench-json` is the full measurement), an end-to-end smoke of
 # the simulation service (`make serve-smoke`), a sharded-execution
 # smoke (`make shard-smoke`), a jittered barrier stress under the race
-# detector (`make shard-stress`), and a checkpoint/restore smoke
-# (`make snapshot-smoke`).
+# detector (`make shard-stress`), a checkpoint/restore smoke
+# (`make snapshot-smoke`), and the repository benchmark's own tests
+# (`make perfbench-test`).
 
 GO ?= go
 
-.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke check
+.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
 
 all: build
 
@@ -92,6 +93,12 @@ snapshot-smoke:
 	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -shards 2 -restore /tmp/smtpsim_ck.bin -metrics /tmp/smtpsim_resumed.json >/dev/null
 	cmp /tmp/smtpsim_full.json /tmp/smtpsim_resumed.json
 
+# The repository benchmark (perfbench/, its own Go module, so `go test ./...`
+# at the root skips it) imports the simulator's internals: run its tests so
+# a simulator change that breaks the benchmark driver fails here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # End-to-end smoke of the simulation service: boot simserver on a loopback
 # port, submit the same spec twice, require the second response to be a
 # byte-identical cache hit (the content-address contract of DESIGN.md §12).
@@ -106,4 +113,4 @@ metrics-schema:
 metrics-schema-check:
 	$(GO) run ./cmd/metricsdoc -check
 
-check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke
+check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test

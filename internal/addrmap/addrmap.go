@@ -137,6 +137,9 @@ const (
 	groupShift = 32
 	groupSlabs = 1 << (groupShift - SlabShift) // slab pointers per group
 	groupMask  = groupSlabs - 1
+
+	physBits  = 48                           // the physical address space
+	maxGroups = 1 << (physBits - groupShift) // groups covering it
 )
 
 type slab = [SlabSize]byte

@@ -1,6 +1,10 @@
 package addrmap
 
-import "testing"
+import (
+	"testing"
+
+	"smtpsim/internal/snapshot"
+)
 
 // TestMemoryZeroFill pins the zero-fill semantics: a never-written location
 // reads as zero through both widths, and the read neither allocates a
@@ -96,5 +100,61 @@ func BenchmarkDirEntryRMW(b *testing.B) {
 		addr := DirAddrOf(uint64(i%4096)*CoherenceLineSize, nodes)
 		v := m.Read32(addr)
 		m.Write32(addr, v|1<<31)
+	}
+}
+
+// TestMemoryLoadStateRejectsBadSlabs: decoded slab coordinates outside the
+// address space are a decode error, never a huge allocation, a panic, or a
+// slab silently restored at another address.
+func TestMemoryLoadStateRejectsBadSlabs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hi, mid int
+	}{
+		{"negative group", -3, 0},
+		{"group past the address space", maxGroups, 0},
+		{"huge group", 1 << 40, 0},
+		{"negative slab", 256, -1},
+		{"slab past its group", 256, groupSlabs},
+		{"slab far past its group", 256, 1 << 20},
+	} {
+		e := snapshot.NewEncoder()
+		e.Mark("mem")
+		e.Int(1)
+		e.Int(tc.hi)
+		e.Int(tc.mid)
+		e.Bytes(make([]byte, SlabSize))
+		d, err := snapshot.NewDecoder(e.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMemory()
+		m.LoadState(d)
+		if d.Err() == nil {
+			t.Errorf("%s: LoadState accepted slab %d/%d", tc.name, tc.hi, tc.mid)
+		}
+		if n := m.SlabCount(); n != 0 {
+			t.Errorf("%s: rejected snapshot left %d slabs", tc.name, n)
+		}
+	}
+
+	// The edges of the valid range still round-trip.
+	m := NewMemory()
+	top := uint64(maxGroups)<<groupShift - 8
+	m.Write64(0, 1)
+	m.Write64(top, 2)
+	e := snapshot.NewEncoder()
+	m.SaveState(e)
+	d, err := snapshot.NewDecoder(e.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewMemory()
+	r.LoadState(d)
+	if err := d.Err(); err != nil {
+		t.Fatalf("valid edges rejected: %v", err)
+	}
+	if r.Read64(0) != 1 || r.Read64(top) != 2 {
+		t.Fatal("valid edge slabs did not round-trip")
 	}
 }

@@ -40,6 +40,11 @@ func (m *Memory) LoadState(d *snapshot.Decoder) {
 		if d.Err() != nil {
 			return
 		}
+		if hi < 0 || hi >= maxGroups || mid < 0 || mid >= groupSlabs {
+			d.Fail("slab %d/%d outside the %d-bit address space (%d groups of %d slabs)",
+				hi, mid, physBits, maxGroups, groupSlabs)
+			return
+		}
 		if len(b) != SlabSize {
 			d.Fail("slab %d/%d has %d bytes, want %d", hi, mid, len(b), SlabSize)
 			return

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -239,5 +240,49 @@ func TestSnapshotRejectsReferenceKernel(t *testing.T) {
 	}
 	if err := m.Restore(nil); err == nil {
 		t.Fatal("restore into a reference-kernel machine must fail")
+	}
+}
+
+// TestRestoreRejectsCorruptMemSection corrupts the slab coordinates of the
+// first node's directory memory in a real snapshot: Restore must return an
+// error, never panic, exhaust memory, or restore the slab elsewhere.
+func TestRestoreRejectsCorruptMemSection(t *testing.T) {
+	m := sharingMachine(SMTp)
+	if _, done := m.Run(4 * SnapshotAlign); done {
+		t.Fatal("run finished before the snapshot point")
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0's section opens with its memory: mark, slab count, then the
+	// first slab's group and slab indices.
+	at := bytes.Index(snap, []byte("\x04node\x03mem"))
+	if at < 0 {
+		t.Fatal("no node memory section in the snapshot")
+	}
+	count := at + len("\x04node\x03mem")
+	hi, mid := count+8, count+16
+	if n := binary.LittleEndian.Uint64(snap[count:]); n == 0 {
+		t.Fatal("node 0 has no memory slabs to corrupt")
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    int64
+	}{
+		{"negative group", hi, -3},
+		{"group past the address space", hi, 1 << 20},
+		{"negative slab", mid, -1},
+		{"slab past its group", mid, 1 << 20},
+	} {
+		bad := bytes.Clone(snap)
+		binary.LittleEndian.PutUint64(bad[tc.off:], uint64(tc.v))
+		if err := sharingMachine(SMTp).Restore(bad); err == nil {
+			t.Errorf("%s: Restore accepted the corrupt snapshot", tc.name)
+		}
+	}
+	if err := sharingMachine(SMTp).Restore(snap); err != nil {
+		t.Fatalf("uncorrupted snapshot: %v", err)
 	}
 }

@@ -7,10 +7,15 @@ import (
 
 // issue selects ready instructions from the integer and FP queues (bounded
 // by functional units) and from the load/store queue (bounded by the single
-// address-calculation ALU), oldest first.
+// address-calculation ALU), oldest first. A queue is scanned only when its
+// wake bit says it may hold a ready uop (see markReady).
 func (p *Pipeline) issue(now sim.Cycle) {
-	p.issueQueue(&p.intQ, p.cfg.IntALUs, now)
-	p.issueQueue(&p.fpQ, p.cfg.FPUs, now)
+	if p.qWake&wakeInt != 0 {
+		p.issueQueue(&p.intQ, wakeInt, p.cfg.IntALUs, now)
+	}
+	if p.qWake&wakeFP != 0 {
+		p.issueQueue(&p.fpQ, wakeFP, p.cfg.FPUs, now)
+	}
 	p.issueMem(now)
 }
 
@@ -28,24 +33,21 @@ func sortBySeq(us []*uop) {
 	}
 }
 
-func (p *Pipeline) issueQueue(q *[]*uop, units int, now sim.Cycle) {
-	if len(*q) == 0 {
-		return
-	}
-	// One pass: drop squashed entries eagerly so they don't occupy slots,
-	// and collect ready candidates (scratch buffer reused across cycles).
+// issueQueue issues up to units of the queue's ready uops, oldest first.
+// The queue never holds squashed uops: squashAfter removes them.
+func (p *Pipeline) issueQueue(q *[]*uop, bit uint8, units int, now sim.Cycle) {
+	// Collect ready candidates (scratch buffer reused across cycles).
 	ready := p.scratch[:0]
-	kept := (*q)[:0]
 	for _, u := range *q {
-		if u.squashed {
-			continue
-		}
-		kept = append(kept, u)
 		if p.srcsReady(u) {
 			ready = append(ready, u)
 		}
 	}
-	*q = kept
+	if len(ready) <= units {
+		// Every ready uop issues now; only a later markReady can make
+		// another one ready.
+		p.qWake &^= bit
+	}
 	// Oldest-first selection.
 	sortBySeq(ready)
 	p.scratch = ready[:0]
@@ -152,7 +154,7 @@ func (p *Pipeline) complete(u *uop, now sim.Cycle) {
 	u.executed = true
 	u.stage = sDone
 	if u.rdyDst >= 0 {
-		p.ready[u.rdyDst] = true
+		p.markReady(u.rdyDst)
 	}
 	if u.in.Op == isa.OpBranch {
 		p.resolveBranch(u, now)

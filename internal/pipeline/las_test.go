@@ -54,7 +54,7 @@ func lasFetchProgress(t *testing.T, las bool) int {
 	// Run until handler 1 has fully fetched but (divide chain) has not
 	// graduated, then see whether handler 2's fetch has begun.
 	for i := 0; i < 5000; i++ {
-		r.eng.Step()
+		r.step()
 		q := r.p.proto.queue
 		if len(q) == 2 && q[0].fetchIdx >= len(q[0].trace) {
 			// Give fetch a few more cycles to (maybe) cross handlers.

@@ -205,6 +205,12 @@ type Pipeline struct {
 
 	intFree, fpFree *freeList
 	ready           []bool // physical register ready bits (int then fp space)
+	// Issue wakeup, derived from the queues and ready (rebuilt on
+	// restore): qWake has a queue's bit set while the queue may hold a uop
+	// whose sources are all ready, and waiters[r] the bits of the queues
+	// holding a uop that waits on ready index r.
+	qWake   uint8
+	waiters []uint8
 
 	decodeQ []*uop
 	renameQ []*uop
@@ -339,6 +345,7 @@ func New(cfg Config, eng *sim.Engine, down Downstream, sync SyncChecker) *Pipeli
 	p.intFree = newFreeList(cfg.IntRegs)
 	p.fpFree = newFreeList(cfg.FPRegs)
 	p.ready = make([]bool, cfg.IntRegs+cfg.FPRegs)
+	p.waiters = make([]uint8, len(p.ready))
 	for i := 0; i < nctx; i++ {
 		t := newThread(i, cfg.HasProtocol && i == cfg.AppThreads, cfg)
 		// Boot: map all logical registers (the protocol boot sequence
@@ -351,14 +358,14 @@ func New(cfg Config, eng *sim.Engine, down Downstream, sync SyncChecker) *Pipeli
 					panic("pipeline: not enough FP registers for logical state")
 				}
 				t.mapTable[l] = r
-				p.ready[int(r)+cfg.IntRegs] = true
+				p.markReady(p.readyIndex(true, r))
 			} else {
 				r = p.intFree.alloc(false)
 				if r < 0 {
 					panic("pipeline: not enough integer registers for logical state")
 				}
 				t.mapTable[l] = r
-				p.ready[r] = true
+				p.markReady(r)
 			}
 		}
 		p.threads = append(p.threads, t)

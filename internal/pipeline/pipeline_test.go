@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"smtpsim/internal/cache"
@@ -78,7 +79,30 @@ func newRig(appThreads int, smtp bool) *rig {
 
 func (r *rig) run(cycles int) {
 	for i := 0; i < cycles; i++ {
-		r.eng.Step()
+		r.step()
+	}
+}
+
+// step advances the rig one cycle and then checks the issue wakeup
+// invariant: a queued uop whose sources are ready must sit in a queue whose
+// wake bit is set, or the gated issue stage would never look at it.
+func (r *rig) step() {
+	r.eng.Step()
+	p := r.p
+	for _, q := range []struct {
+		name string
+		uops []*uop
+		bit  uint8
+	}{{"int", p.intQ, wakeInt}, {"fp", p.fpQ, wakeFP}} {
+		if p.qWake&q.bit != 0 {
+			continue
+		}
+		for _, u := range q.uops {
+			if p.srcsReady(u) {
+				panic(fmt.Sprintf("cycle %d: ready %v uop (seq %d) in the %s queue with its wake bit clear",
+					r.eng.Now(), u.in.Op, u.seq, q.name))
+			}
+		}
 	}
 }
 
@@ -97,7 +121,7 @@ func (r *rig) runUntilDone(t *testing.T, max int) {
 		if r.p.AppDone() {
 			return
 		}
-		r.eng.Step()
+		r.step()
 	}
 	t.Fatalf("pipeline did not drain in %d cycles (retired=%v)", max, r.p.Retired)
 }
@@ -248,6 +272,50 @@ func TestLoadMissGoesThroughProtocol(t *testing.T) {
 		t.Fatalf("L2 misses=%d, want 1", r.p.L2Missed)
 	}
 	r.assertClean(t)
+}
+
+// TestFPWakeWaitsForRefill: an FP op whose source is a load that misses
+// the L2 must not be scanned for issue while the miss is outstanding — the
+// FP queue's wake bit stays clear until the refill makes the value ready,
+// and the op issues in the cycle the load completes.
+func TestFPWakeWaitsForRefill(t *testing.T) {
+	r := newRig(1, false)
+	f1, f2 := isa.FirstFP, isa.FirstFP+1
+	ins := prog(0x1000,
+		isa.Instr{Op: isa.OpLoad, Dst: f1, Addr: 0x8000, Size: 8},
+		isa.Instr{Op: isa.OpFPALU, Dst: f2, Src1: f1},
+	)
+	r.warm(ins)
+	r.p.SetSource(0, &sliceSource{ins: ins})
+	for i := 0; len(r.p.fpQ) == 0; i++ {
+		if i == 500 {
+			t.Fatal("FP op never reached the FP queue")
+		}
+		r.step()
+	}
+	src := r.p.fpQ[0].rdySrc1
+	waited := 0
+	for !r.p.ready[src] {
+		if r.p.qWake&wakeFP != 0 {
+			t.Fatalf("FP wake bit set %d cycles into the miss, before the refill", waited)
+		}
+		if waited == 1000 {
+			t.Fatal("load never completed")
+		}
+		r.step()
+		waited++
+	}
+	if r.p.L2Missed != 1 || waited < int(r.down.delay) {
+		t.Fatalf("waited %d cycles on %d L2 misses; want one miss of >= %d cycles",
+			waited, r.p.L2Missed, r.down.delay)
+	}
+	if len(r.p.fpQ) != 0 {
+		t.Fatal("FP op did not issue in the cycle its source became ready")
+	}
+	r.runUntilDone(t, 1000)
+	if r.p.Retired[0] != 2 {
+		t.Fatalf("retired %d, want 2", r.p.Retired[0])
+	}
 }
 
 func TestLoadMissMergesInMSHR(t *testing.T) {

@@ -230,15 +230,17 @@ func (p *Pipeline) tryRename(u *uop, now sim.Cycle) bool {
 	case u.in.Op.IsFPOp():
 		u.inIQ = true
 		p.fpQ = append(p.fpQ, u)
+		p.armWake(u, wakeFP)
 	case needsIQ(u.in.Op):
 		u.inIQ = true
 		p.intQ = append(p.intQ, u)
+		p.armWake(u, wakeInt)
 	default:
 		// Nop / SyncWait: nothing to execute; any destination is ready at
 		// once so dependents never wait on it.
 		u.executed = true
 		if u.rdyDst >= 0 {
-			p.ready[u.rdyDst] = true
+			p.markReady(u.rdyDst)
 		}
 		if u.in.Op != isa.OpSyncWait {
 			u.stage = sDone
@@ -279,12 +281,55 @@ func (p *Pipeline) readyIndex(isFP bool, r int16) int16 {
 	return r
 }
 
-func (p *Pipeline) setReady(isFP bool, r int16, v bool) {
-	p.ready[p.readyIndex(isFP, r)] = v
-}
-
 func (p *Pipeline) isReady(isFP bool, r int16) bool {
 	return r < 0 || p.ready[p.readyIndex(isFP, r)]
+}
+
+// Issue-queue wake bits (Pipeline.qWake and Pipeline.waiters).
+const (
+	wakeInt uint8 = 1 << iota
+	wakeFP
+)
+
+// markReady makes a physical register's value visible and wakes the issue
+// queues holding a uop that waits on it. Every write of true into the
+// ready array goes through here, or a waiting uop could sit unseen in a
+// queue whose scan is gated off.
+func (p *Pipeline) markReady(r int16) {
+	p.ready[r] = true
+	p.qWake |= p.waiters[r]
+	p.waiters[r] = 0
+}
+
+// armWake records, for a uop just placed in the issue queue with wake bit
+// bit, what will make it issuable: the queue's wake bit at once when both
+// sources are ready, otherwise a waiter bit on each source not yet ready.
+func (p *Pipeline) armWake(u *uop, bit uint8) {
+	ready := true
+	if s := u.rdySrc1; s >= 0 && !p.ready[s] {
+		p.waiters[s] |= bit
+		ready = false
+	}
+	if s := u.rdySrc2; s >= 0 && !p.ready[s] {
+		p.waiters[s] |= bit
+		ready = false
+	}
+	if ready {
+		p.qWake |= bit
+	}
+}
+
+// rebuildWake derives the wake state from the queues and the ready array
+// (after a restore; the state is not part of a snapshot).
+func (p *Pipeline) rebuildWake() {
+	p.qWake = 0
+	clear(p.waiters)
+	for _, u := range p.intQ {
+		p.armWake(u, wakeInt)
+	}
+	for _, u := range p.fpQ {
+		p.armWake(u, wakeFP)
+	}
 }
 
 // srcsReady reports whether both source operands are available.

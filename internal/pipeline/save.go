@@ -374,11 +374,28 @@ func (t *tlb) loadState(d *snapshot.Decoder) {
 		d.Fail("tlb has %d entries, want %d", len(pages), len(t.pages))
 		return
 	}
+	// free is derived: the valid entries must form the suffix fills build.
+	free := len(valid)
+	for free > 0 && valid[free-1] {
+		free--
+	}
+	for i := 0; i < free; i++ {
+		if valid[i] {
+			d.Fail("tlb valid entries are not a suffix (entry %d valid below invalid entry %d)", i, free-1)
+			return
+		}
+	}
 	copy(t.pages, pages)
 	copy(t.valid, valid)
 	copy(t.stamp, stamp)
+	t.free = free
 	t.clock = d.U64()
-	t.last = d.Int()
+	last := d.Int()
+	if d.Err() == nil && (last < 0 || last >= len(t.pages)) {
+		d.Fail("tlb last entry %d out of range 0..%d", last, len(t.pages)-1)
+		return
+	}
+	t.last = last
 	t.Hits = d.U64()
 	t.Misses = d.U64()
 }
@@ -671,6 +688,7 @@ func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decod
 		return
 	}
 	copy(p.ready, ready)
+	p.rebuildWake()
 	p.brStackUsed = d.Int()
 	p.divBusy = d.Int()
 

@@ -14,12 +14,18 @@ import (
 // configurable fixed stall (hardware-walker class), and the applications
 // are blocked for the DTLB exactly as Table 1 notes for FFT, so misses are
 // rare by construction.
+//
+// Fills take the highest free slot and nothing ever invalidates an entry,
+// so the valid entries are exactly the suffix [free, len): scans cost in
+// proportion to the resident pages, not to the capacity, and a fill into a
+// TLB that is not yet full needs no victim search at all.
 type tlb struct {
 	pages []uint64
 	valid []bool
 	stamp []uint64
 	clock uint64
 	last  int // entry of the most recent hit or fill: probed before scanning
+	free  int // entries [0, free) are invalid, [free, len) valid (derived)
 
 	Hits   uint64
 	Misses uint64
@@ -30,13 +36,17 @@ func newTLB(entries int) *tlb {
 		pages: make([]uint64, entries),
 		valid: make([]bool, entries),
 		stamp: make([]uint64, entries),
+		free:  entries,
 	}
 }
 
 // lookup translates addr, filling on miss; reports whether it hit.
 // Consecutive lookups overwhelmingly land on the same page, so the entry
 // that hit (or filled) last time is probed before the associative scan;
-// a fast-path hit updates exactly the state a scan hit would.
+// a fast-path hit updates exactly the state a scan hit would. The scan
+// runs from the top of the valid suffix down, where fills land first: a
+// core's few code pages sit in the top slots, so the probe that misses
+// `last` at every switch between fetching threads finds them at once.
 func (t *tlb) lookup(addr uint64) bool {
 	page := addrmap.PageOf(addr)
 	t.clock++
@@ -45,26 +55,42 @@ func (t *tlb) lookup(addr uint64) bool {
 		t.Hits++
 		return true
 	}
-	victim := 0
-	for i := range t.pages {
-		if t.valid[i] && t.pages[i] == page {
-			t.stamp[i] = t.clock
-			t.Hits++
-			t.last = i
-			return true
-		}
-		if !t.valid[i] {
-			victim = i
-		} else if t.valid[victim] && t.stamp[i] < t.stamp[victim] {
-			victim = i
-		}
+	if i := t.find(page); i >= 0 {
+		t.stamp[i] = t.clock
+		t.Hits++
+		t.last = i
+		return true
 	}
 	t.Misses++
+	victim := t.free - 1
+	if victim >= 0 {
+		t.free = victim
+	} else {
+		// Full: evict the least recently used entry (the lowest index
+		// wins a tie).
+		victim = 0
+		for i := 1; i < len(t.stamp); i++ {
+			if t.stamp[i] < t.stamp[victim] {
+				victim = i
+			}
+		}
+	}
 	t.pages[victim] = page
 	t.valid[victim] = true
 	t.stamp[victim] = t.clock
 	t.last = victim
 	return false
+}
+
+// find returns the entry holding page, or -1. Pages are unique among the
+// valid entries (a fill happens only on a miss), so scan order is free.
+func (t *tlb) find(page uint64) int {
+	for i := len(t.pages) - 1; i >= t.free; i-- {
+		if t.pages[i] == page {
+			return i
+		}
+	}
+	return -1
 }
 
 // skipHits applies n elided lookups of addr that are guaranteed hits: the
@@ -74,17 +100,14 @@ func (t *tlb) lookup(addr uint64) bool {
 // Panics if the page is not resident, which would mean a component
 // under-reported its next work to the kernel.
 func (t *tlb) skipHits(addr uint64, n uint64) {
-	page := addrmap.PageOf(addr)
-	for i := range t.pages {
-		if t.valid[i] && t.pages[i] == page {
-			t.clock += n
-			t.stamp[i] = t.clock
-			t.Hits += n
-			t.last = i
-			return
-		}
+	i := t.find(addrmap.PageOf(addr))
+	if i < 0 {
+		panic("pipeline: skipHits on a non-resident page (quiescence contract violation)")
 	}
-	panic("pipeline: skipHits on a non-resident page (quiescence contract violation)")
+	t.clock += n
+	t.stamp[i] = t.clock
+	t.Hits += n
+	t.last = i
 }
 
 // dtlbCheck translates a data access for an application thread, returning

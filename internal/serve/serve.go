@@ -182,24 +182,25 @@ func (s *Server) execute(ctx context.Context, t *task) {
 // submitOrJoin resolves a validated spec to a task: joining the in-flight
 // run of the same canonical hash when there is one, otherwise admitting a
 // new task. joined reports which happened.
+//
+// Admission happens under s.mu, before the task is published in inflight,
+// so a request can only ever join a task the scheduler accepted (and whose
+// done channel a worker will therefore close). The lock order is s.mu, then
+// the scheduler's; nothing takes them the other way round: execute,
+// taskDone and Drain never hold both.
 func (s *Server) submitOrJoin(cfg Config, key string) (t *task, joined bool, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if cur, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
 		s.coalesced.Add(1)
 		return cur, true, nil
 	}
 	t = newTask(cfg, key)
-	s.inflight[key] = t
-	s.mu.Unlock()
-
 	if err := s.sched.submit(t); err != nil {
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
 		s.rejected.Add(1)
 		return nil, false, err
 	}
+	s.inflight[key] = t
 	return t, false, nil
 }
 

@@ -317,20 +317,27 @@ func TestStreamNDJSONAndCachedReplay(t *testing.T) {
 	}
 }
 
-func TestQueueFullRejectsAndDedupCoalesces(t *testing.T) {
-	release := openGate(t)
-	ts := httptest.NewServer(New(Options{Workers: 1, QueueDepth: 1}).Handler())
-	defer ts.Close()
-	defer release()
+// gated is a small run spec that blocks in the worker until the test's
+// gate opens.
+func gated(seed int) string {
+	return fmt.Sprintf(`{"app":"FFT","model":"SMTp","nodes":2,"scale":0.25,`+
+		`"seed":%d,"max_cycles":50000,"tweak":"test_gate"}`, seed)
+}
 
-	gated := func(seed int) string {
-		return fmt.Sprintf(`{"app":"FFT","model":"SMTp","nodes":2,"scale":0.25,`+
-			`"seed":%d,"max_cycles":50000,"tweak":"test_gate"}`, seed)
-	}
+type reply struct {
+	resp *http.Response
+	body []byte
+}
 
+// fillQueue brings a Workers: 1, QueueDepth: 1 server to a full queue: a
+// streamed gated run holds the worker (its response is returned, read up
+// to "started") and a second gated run waits in the queue (its reply
+// arrives on the channel once the gate opens).
+func fillQueue(t *testing.T, url string) (*http.Response, <-chan reply) {
+	t.Helper()
 	// Occupy the worker: stream the first run and wait for "started", which
 	// the worker emits just before blocking on the gate.
-	resp1, err := http.Post(ts.URL+"/v1/runs?stream=ndjson", "application/json",
+	resp1, err := http.Post(url+"/v1/runs?stream=ndjson", "application/json",
 		strings.NewReader(gated(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -347,13 +354,9 @@ func TestQueueFullRejectsAndDedupCoalesces(t *testing.T) {
 	}
 
 	// Fill the queue with a second distinct run.
-	type reply struct {
-		resp *http.Response
-		body []byte
-	}
 	second := make(chan reply, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		resp, err := http.Post(url+"/v1/runs", "application/json",
 			strings.NewReader(gated(2)))
 		if err != nil {
 			second <- reply{}
@@ -367,12 +370,23 @@ func TestQueueFullRejectsAndDedupCoalesces(t *testing.T) {
 	// Wait until the second run is admitted (queue depth reaches 2:
 	// the in-flight run plus the queued one).
 	deadline := time.Now().Add(10 * time.Second)
-	for statValue(t, ts.URL, "queue.depth") < 2 {
+	for statValue(t, url, "queue.depth") < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("second run never admitted")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return resp1, second
+}
+
+func TestQueueFullRejectsAndDedupCoalesces(t *testing.T) {
+	release := openGate(t)
+	ts := httptest.NewServer(New(Options{Workers: 1, QueueDepth: 1}).Handler())
+	defer ts.Close()
+	defer release()
+
+	resp1, second := fillQueue(t, ts.URL)
+	deadline := time.Now().Add(10 * time.Second)
 
 	// A third distinct run finds the queue full: fail-fast 503.
 	r3, _ := post(t, ts.URL+"/v1/runs", gated(3))
@@ -425,6 +439,79 @@ func TestQueueFullRejectsAndDedupCoalesces(t *testing.T) {
 	}
 	if completed := statValue(t, ts.URL, "runs.completed"); completed != 2 {
 		t.Fatalf("runs.completed = %v, want 2 (join must not re-run)", completed)
+	}
+}
+
+// TestRejectedAdmissionNeverStrandsJoiners: identical submissions racing
+// into a full queue must each get an answer — 200, or 503 with Retry-After
+// — and never join a task whose admission failed, which no worker would
+// ever finish.
+func TestRejectedAdmissionNeverStrandsJoiners(t *testing.T) {
+	release := openGate(t)
+	srv := New(Options{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer release()
+
+	resp1, second := fillQueue(t, ts.URL)
+
+	// Bursts of identical submissions: each one that wins the race to the
+	// in-flight map is rejected, and the rest must not be left waiting on it.
+	client := &http.Client{Timeout: 10 * time.Second}
+	const rounds, burst = 20, 8
+	for round := 0; round < rounds; round++ {
+		errs := make(chan error, burst)
+		for i := 0; i < burst; i++ {
+			go func() {
+				resp, err := client.Post(ts.URL+"/v1/runs", "application/json",
+					strings.NewReader(gated(100+round)))
+				if err != nil {
+					errs <- fmt.Errorf("no answer: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusOK:
+					errs <- nil
+				case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+					errs <- nil
+				default:
+					errs <- fmt.Errorf("status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+				}
+			}()
+		}
+		for i := 0; i < burst; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+	// The same race without the HTTP stack spacing the callers out: while
+	// the queue is full no task can be admitted, so there is nothing to join.
+	var joins atomic.Int64
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 2000; i++ {
+				if _, joined, _ := srv.submitOrJoin(Config{}, "00000000000000ff"); joined {
+					joins.Add(1)
+				}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	if n := joins.Load(); n != 0 {
+		t.Fatalf("%d submissions joined a task whose admission was rejected", n)
+	}
+
+	release()
+	readStream(t, resp1)
+	if rep := <-second; rep.resp == nil || rep.resp.StatusCode != http.StatusOK {
+		t.Fatal("queued run failed after release")
 	}
 }
 
