@@ -2,17 +2,17 @@
 # formatting, vet, the simlint static-analysis suite, build, the
 # unit/integration suite, the hot packages again with poolcheck message
 # poisoning, the whole suite again under the race detector, the METRICS.md
-# schema freshness, a one-rep smoke of the benchmark harness
-# (`make bench-json` is the full measurement), an end-to-end smoke of
-# the simulation service (`make serve-smoke`), a sharded-execution
-# smoke (`make shard-smoke`), a jittered barrier stress under the race
-# detector (`make shard-stress`), a checkpoint/restore smoke
-# (`make snapshot-smoke`), and the repository benchmark's own tests
-# (`make perfbench-test`).
+# schema freshness, one iteration of two root benchmarks
+# (`make bench-smoke`), an end-to-end smoke of the simulation service
+# (`make serve-smoke`), a sharded-execution smoke (`make shard-smoke`), a
+# jittered barrier stress under the race detector (`make shard-stress`), a
+# checkpoint/restore smoke (`make snapshot-smoke`), and the repository
+# benchmark's own tests (`make perfbench-test`). Performance is measured
+# by perfbench (BENCHMARK.json), not by this file.
 
 GO ?= go
 
-.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-json bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
+.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
 
 all: build
 
@@ -56,17 +56,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Benchmark record: the full root benchmark suite (3 reps, min kept, alloc
-# rates included, the BenchmarkWarmSweep_* full-vs-forked sweep pair, the
-# per-config shard_serial_fraction section) against the PR 9 baseline in
-# BENCH_9.json, written to BENCH_10.json.
-bench-json:
-	$(GO) run ./cmd/benchjson -count 3 -baseline BENCH_9.json -out BENCH_10.json
-
-# Quick end-to-end sanity of the bench harness for `make check`: two small
-# benchmarks, one rep per kernel, result discarded.
+# Quick sanity of the root benchmarks for `make check`: two small ones, one
+# iteration each. The repository benchmark of record is perfbench
+# (BENCHMARK.json, perfbench/README.md).
 bench-smoke:
-	$(GO) run ./cmd/benchjson -count 1 -bench 'Fig2|AblationBitOps' -out /tmp/bench_smoke.json
+	$(GO) test -run '^$$' -bench 'Fig2|AblationBitOps' -benchtime 1x .
 
 # End-to-end smoke of sharded execution (DESIGN.md §13): one 16-node
 # config split across 4 OS threads must run to completion through the

@@ -8,7 +8,6 @@ package smtpsim_test
 
 import (
 	"context"
-	"flag"
 	"math"
 	"sync"
 	"testing"
@@ -17,20 +16,10 @@ import (
 	"smtpsim/internal/core"
 )
 
-// -kernel selects the simulation kernel for every benchmark: the default
-// cycle-skipping kernel, or "reference" for the naive always-tick one.
-// cmd/benchjson runs the suite once with each and reports the wall-time
-// ratio per benchmark (BENCH_4.json); results are identical either way
-// (see internal/core's TestKernelDifferential).
-var kernelFlag = flag.String("kernel", "", `simulation kernel: "" (skipping) or "reference"`)
-
 // benchSuite is the shrunken experiment configuration used by every
 // benchmark: 4 nodes stand in for the paper's 16, 8 for its 32.
 func benchSuite() core.Suite {
-	return core.Suite{
-		CPUGHz: 2, Scale: 0.25, Seed: 42,
-		ReferenceKernel: *kernelFlag == "reference",
-	}
+	return core.Suite{CPUGHz: 2, Scale: 0.25, Seed: 42}
 }
 
 const (
@@ -210,9 +199,8 @@ func BenchmarkShard32Node_Shards4(b *testing.B) { benchShardPoint(b, 32, 4) }
 // more often than FFT's, so this configuration is the stress case for the
 // coordinator's serial fraction — every unpolled SyncWait used to collapse
 // the window to lockstep, and the ROB-bounded horizon plus adaptive quanta
-// (DESIGN.md §13) are what keep it parallel. cmd/benchjson reports its
-// shard.serial_cycles split in BENCH_10.json's shard_serial_fraction
-// section.
+// (DESIGN.md §13) are what keep it parallel. The benchmark reports the
+// run's shard.serial_cycles as serial-cycles.
 
 func benchShardSyncPoint(b *testing.B, shards int) {
 	cfg := core.Config{
@@ -244,8 +232,8 @@ func BenchmarkShard32NodeSync_Shards4(b *testing.B) { benchShardSyncPoint(b, 4) 
 // run both ways: every variant simulated in full, and the variants forked
 // from one shared prefix checkpoint at half the run. The simulated results
 // are byte-identical (internal/core's TestWarmSweepMatchesFullRuns pins
-// that), so the pair measures pure host wall time; cmd/benchjson reports
-// the Full/Forked ratio as the warm-start speedup in BENCH_9.json.
+// that), so the pair measures pure host wall time, and the Full/Forked
+// ratio of their ns/op is the warm-start speedup.
 
 func warmSweepVariants() []core.Config {
 	var cfgs []core.Config

@@ -70,12 +70,33 @@ func main() {
 	}
 }
 
+// Slow-client limits for every listener. A client must finish its request
+// headers within readHeaderTimeout of connecting (or of its previous
+// request), and a keep-alive connection idle for idleTimeout is closed.
+// There is deliberately no WriteTimeout: it would cut long NDJSON/SSE
+// result streams.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the service's http.Server for h, with the
+// slow-client limits set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run serves until a shutdown signal, then drains: admission stops (503),
 // in-flight runs finish, the listener closes. A second signal — or the
 // drain timeout — aborts the in-flight runs through their run context.
 func run(addr string, opts serve.Options, drainFor time.Duration) error {
 	srv := serve.New(opts)
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := newHTTPServer(addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -121,7 +142,7 @@ func runSelftest(opts serve.Options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer("", srv.Handler())
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	defer hs.Close()
@@ -189,7 +210,7 @@ func runSelftest(opts serve.Options) error {
 	if err != nil {
 		return err
 	}
-	hs2 := &http.Server{Handler: srv2.Handler()}
+	hs2 := newHTTPServer("", srv2.Handler())
 	go hs2.Serve(ln2)
 	defer hs2.Close()
 	c3, b3, err := postTo("http://" + ln2.Addr().String())

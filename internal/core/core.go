@@ -119,10 +119,10 @@ type Config struct {
 	// quantum) exactly when SamplePeriod is set, and zero otherwise.
 	SampleWindow sim.Cycle
 
-	// ReferenceKernel runs on the naive always-tick simulation kernel
-	// instead of the cycle-skipping one. Results are observably identical
-	// (pinned by TestKernelDifferential); this exists as the differential
-	// oracle and for before/after wall-time comparisons.
+	// ReferenceKernel runs on the reference kernel: the cycle-skipping
+	// kernel with skipping and lazy deferral switched off. Results are
+	// observably identical (pinned by TestKernelDifferential); this exists
+	// as the differential oracle and for kernel-bug bisection.
 	ReferenceKernel bool
 
 	// Shards partitions the simulated machine's nodes across that many OS
@@ -234,8 +234,10 @@ type Result struct {
 	CyclesPerSec   float64
 	HeapInuseBytes uint64
 	// SkippedCycles is how many simulated cycles the kernel elided via
-	// quiescence skipping (0 on the reference kernel). Host-side
-	// observability like WallTime: excluded from WriteRunJSON.
+	// quiescence skipping: 0 on the reference kernel, unless the run
+	// resumed from a skipping kernel's checkpoint, whose count it
+	// inherits. Host-side observability like WallTime: excluded from
+	// WriteRunJSON.
 	SkippedCycles uint64
 
 	// Execution-time split (averaged over application threads).

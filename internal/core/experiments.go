@@ -22,10 +22,6 @@ type Suite struct {
 	// MaxCycles bounds each run; 0 = default.
 	MaxCycles uint64
 
-	// ReferenceKernel runs every simulation on the naive always-tick kernel
-	// (see Config.ReferenceKernel); output is identical, only slower.
-	ReferenceKernel bool
-
 	// Shards partitions each simulated machine across that many OS threads
 	// (see Config.Shards); output is byte-identical at any value. Combine
 	// with Workers thoughtfully: total goroutines ≈ Workers × Shards.
@@ -53,8 +49,6 @@ func (s Suite) cfg(model Model, app App, nodes, way int) Config {
 		Seed:       s.Seed,
 		MaxCycles:  sim.Cycle(s.MaxCycles),
 		Shards:     s.Shards,
-
-		ReferenceKernel: s.ReferenceKernel,
 	}
 }
 

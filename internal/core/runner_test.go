@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"smtpsim/internal/pipeline"
 )
@@ -67,6 +66,21 @@ func TestRunnerValidationErrorsSurface(t *testing.T) {
 	}
 }
 
+// cancelOnPoll is a context that cancels itself on its first Err poll:
+// that poll still sees it live, every later one sees context.Canceled. The
+// machine polls at cycle 0 and then every ctxCheckBatches batches, so a run
+// under it stops at a fixed simulated cycle, whatever the host's speed.
+type cancelOnPoll struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnPoll) Err() error {
+	err := c.Context.Err()
+	c.cancel()
+	return err
+}
+
 func TestRunContextCancellation(t *testing.T) {
 	cfg := Config{Model: SMTp, App: Ocean, Nodes: 2, AppThreads: 1, Scale: 1, Seed: 4}
 
@@ -79,9 +93,8 @@ func TestRunContextCancellation(t *testing.T) {
 
 	// Cancel mid-run: partial counters, Completed false, Err records it.
 	ctx, cancelMid := context.WithCancel(context.Background())
-	timer := time.AfterFunc(30*time.Millisecond, cancelMid)
-	defer timer.Stop()
-	res := RunContext(ctx, cfg)
+	defer cancelMid()
+	res := RunContext(&cancelOnPoll{Context: ctx, cancel: cancelMid}, cfg)
 	if res.Completed {
 		t.Skip("run finished before the cancellation fired; nothing to assert")
 	}

@@ -78,10 +78,13 @@ type Config struct {
 	// older samples are dropped, newest kept).
 	SampleCapacity int
 
-	// ReferenceKernel builds the machine on the naive always-tick simulation
-	// kernel instead of the cycle-skipping one. The two are observably
-	// identical (the differential tests pin this); the reference kernel
-	// exists as that test's oracle and for kernel-bug bisection.
+	// ReferenceKernel builds the machine on the reference engine
+	// (sim.NewReferenceEngine): the same kernel with cycle skipping and lazy
+	// deferral switched off, so every component ticks at every due cycle.
+	// The two are observably identical (the differential tests pin this);
+	// the reference kernel exists as that test's oracle and for kernel-bug
+	// bisection. Its snapshots restore into skipping machines and vice
+	// versa.
 	ReferenceKernel bool
 }
 
@@ -302,18 +305,15 @@ func New(cfg Config) *Machine {
 	// interleave deliveries in the exact order a serial run would produce;
 	// serial machines enable them too (a no-op for ordering — single-engine
 	// keyed order equals the classic FIFO) so snapshots taken at any shard
-	// count carry position keys that restore portably at any other
-	// (DESIGN.md §14). The reference kernel stays unkeyed: it is never
-	// snapshotted and EnableKeys panics on it by design.
-	if !cfg.ReferenceKernel {
-		if nsh > 1 {
-			compsPerNode := m.shards[0].eng.NumClocked() / m.nodesPS
-			for _, s := range m.shards {
-				s.eng.EnableKeys(uint64(compsPerNode * s.lo))
-			}
-		} else {
-			m.Eng.EnableKeys(0)
+	// count, on either kernel, carry position keys that restore portably at
+	// any other (DESIGN.md §14).
+	if nsh > 1 {
+		compsPerNode := m.shards[0].eng.NumClocked() / m.nodesPS
+		for _, s := range m.shards {
+			s.eng.EnableKeys(uint64(compsPerNode * s.lo))
 		}
+	} else {
+		m.Eng.EnableKeys(0)
 	}
 	if nsh > 1 {
 		// Refill hints: every staged send's delivery time is announced to
@@ -426,6 +426,9 @@ func (m *Machine) pendingEvents() int {
 }
 
 // SkippedCycles sums the kernel's skipped-cycle count across every engine.
+// A machine restored from a snapshot starts from the snapshot's count, so
+// a reference machine restored from a skipping machine's snapshot reports
+// the cycles the skipping machine elided before it.
 func (m *Machine) SkippedCycles() uint64 {
 	if len(m.shards) == 0 {
 		return m.Eng.SkippedCycles()

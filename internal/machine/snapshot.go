@@ -31,12 +31,13 @@ import (
 
 // PositionedSource is the optional InstrSource extension snapshots
 // require: a consumed-instruction position that can be saved and
-// reapplied to a freshly attached source (workload.SliceSource implements
-// it).
+// reapplied to a freshly attached source, and the stream length that
+// bounds it (workload.SliceSource implements it).
 type PositionedSource interface {
 	pipeline.InstrSource
 	Pos() int
 	SetPos(int)
+	Len() int
 }
 
 // SnapshotAlign is the cycle alignment of snapshot points: the 256-cycle
@@ -49,9 +50,6 @@ const SnapshotAlign = 256
 
 // snapshotGuard reports why this machine cannot be snapshotted, or nil.
 func (m *Machine) snapshotGuard() error {
-	if m.Cfg.ReferenceKernel {
-		return fmt.Errorf("machine: the reference kernel does not support snapshots")
-	}
 	if m.Cfg.SampleInterval > 0 {
 		return fmt.Errorf("machine: snapshot with a time-series recorder attached is not supported")
 	}
@@ -192,7 +190,8 @@ func (m *Machine) Snapshot() ([]byte, error) {
 // already attached — attachment installs the instruction sources, barrier
 // declarations and page placement that are setup state, then Restore
 // overwrites every piece of dynamic state. Resuming afterwards continues
-// the snapshotted run exactly.
+// the snapshotted run exactly. Corrupt bytes yield an error, never a panic
+// or an allocation sized by an unchecked count.
 func (m *Machine) Restore(b []byte) error {
 	if err := m.snapshotGuard(); err != nil {
 		return err
@@ -217,23 +216,26 @@ func (m *Machine) Restore(b []byte) error {
 	now := sim.Cycle(d.U64())
 	seq := d.U64()
 	skipped := d.U64()
-	comps := make([]sim.Cycle, 0, d.Int())
-	for i := 0; i < cap(comps) && d.Err() == nil; i++ {
-		comps = append(comps, sim.Cycle(d.U64()))
+	engines := m.engines()
+	total := 0
+	for _, eng := range engines {
+		total += eng.NumClocked()
+	}
+	if n := d.Int(); d.Err() == nil && n != total {
+		return fmt.Errorf("machine: snapshot has %d clocked components, machine has %d", n, total)
+	}
+	comps := make([]sim.Cycle, total)
+	for i := range comps {
+		// Between steps every component's next tick lies in the future.
+		if comps[i] = sim.Cycle(d.U64()); d.Err() == nil && comps[i] <= now {
+			return fmt.Errorf("machine: snapshot component %d next ticks at cycle %d, at or before the snapshot cycle %d", i, comps[i], now)
+		}
 	}
 	if d.Err() != nil {
 		return d.Err()
 	}
 
 	m.flushDeferred()
-	engines := m.engines()
-	total := 0
-	for _, eng := range engines {
-		total += eng.NumClocked()
-	}
-	if total != len(comps) {
-		return fmt.Errorf("machine: snapshot has %d clocked components, machine has %d", len(comps), total)
-	}
 	off := 0
 	for i, eng := range engines {
 		n := eng.NumClocked()
@@ -267,6 +269,9 @@ func (m *Machine) Restore(b []byte) error {
 		if !ok {
 			return fmt.Errorf("machine: thread %d source %T cannot restore a stream position (workload not attached?)", g, src)
 		}
+		if d.Err() == nil && (pos < 0 || pos > ps.Len()) {
+			return fmt.Errorf("machine: snapshot puts thread %d at position %d of a %d-instruction stream", g, pos, ps.Len())
+		}
 		ps.SetPos(pos)
 	}
 
@@ -287,6 +292,9 @@ func (m *Machine) Restore(b []byte) error {
 		}
 		if d.Err() != nil {
 			break
+		}
+		if at <= now {
+			return fmt.Errorf("machine: snapshot event kind %d due at cycle %d, at or before the snapshot cycle %d", desc.Kind, at, now)
 		}
 		if err := m.rehydrate(at, pos, evSeq, desc); err != nil {
 			return err

@@ -14,7 +14,12 @@ import (
 // sharingMachine reproduces the TestFourNodesSharingAllModels workload:
 // a store phase, a barrier, then remote reads of the neighbour's slice.
 func sharingMachine(model Model) *Machine {
-	m := New(Config{Model: model, Nodes: 4, AppThreads: 1})
+	return attachSharing(New(Config{Model: model, Nodes: 4, AppThreads: 1}))
+}
+
+// attachSharing installs sharingMachine's workload on a 4-node, 1-way
+// machine.
+func attachSharing(m *Machine) *Machine {
 	m.Sync.DefineBarrier(0, 4)
 	shared := uint64(0)
 	for g := 0; g < 4; g++ {
@@ -78,9 +83,10 @@ func migratoryMachine(model Model) *Machine {
 }
 
 // Snapshot restore targets need positioned sources; give the test stream
-// the two extra methods.
+// the three extra methods.
 func (s *sliceSource) Pos() int     { return s.pos }
 func (s *sliceSource) SetPos(p int) { s.pos = p }
+func (s *sliceSource) Len() int     { return len(s.ins) }
 
 // metricsJSON renders the machine's full deterministic metric snapshot.
 func metricsJSON(t *testing.T, m *Machine) string {
@@ -232,21 +238,85 @@ func TestSnapshotRejectsUnaligned(t *testing.T) {
 	}
 }
 
-func TestSnapshotRejectsReferenceKernel(t *testing.T) {
-	m := New(Config{Model: SMTp, Nodes: 1, AppThreads: 1, ReferenceKernel: true})
-	m.SetSource(0, &sliceSource{ins: privateStream(0, 40)})
-	if _, err := m.Snapshot(); err == nil {
-		t.Fatal("snapshot of a reference-kernel machine must fail")
-	}
-	if err := m.Restore(nil); err == nil {
-		t.Fatal("restore into a reference-kernel machine must fail")
+// TestSnapshotCrossKernel pins that the reference kernel is the skipping
+// kernel with skipping switched off. Snapshots of the two, taken at the
+// same aligned mid-run cycle, match byte for byte apart from the
+// skipped-cycles counter; each restores into a machine of the other kernel
+// and finishes at the uninterrupted run's cycle with byte-identical
+// metrics.
+func TestSnapshotCrossKernel(t *testing.T) {
+	for _, model := range Models() {
+		t.Run(model.String(), func(t *testing.T) {
+			build := func(reference bool) *Machine {
+				return attachSharing(New(Config{Model: model, Nodes: 4, AppThreads: 1, ReferenceKernel: reference}))
+			}
+			const budget = 5_000_000
+			m0 := build(false)
+			c0, done := m0.Run(budget)
+			if !done {
+				t.Fatalf("uninterrupted run did not complete in %d cycles", budget)
+			}
+			want := metricsJSON(t, m0)
+			at := (c0 / 2) &^ (SnapshotAlign - 1)
+			if at == 0 || at >= c0 {
+				t.Fatalf("run too short (%d cycles) to snapshot mid-flight", c0)
+			}
+
+			snaps := map[bool][]byte{}
+			for _, reference := range []bool{false, true} {
+				m := build(reference)
+				if ran, done := m.Run(at); done || ran != at {
+					t.Fatalf("reference=%v: ran %d done=%v, want to pause at %d", reference, ran, done, at)
+				}
+				snap, err := m.Snapshot()
+				if err != nil {
+					t.Fatalf("reference=%v: snapshot at %d: %v", reference, at, err)
+				}
+				snaps[reference] = snap
+			}
+
+			// The skipped-cycles counter is the machine header's seventh
+			// field: model, nodes, threads, mGHz, cycle, sequence, skipped.
+			skippedAt := bytes.Index(snaps[false], []byte("\x04mach")) + len("\x04mach") + 6*8
+			if got := binary.LittleEndian.Uint64(snaps[true][skippedAt:]); got != 0 {
+				t.Fatalf("reference snapshot records %d skipped cycles", got)
+			}
+			if binary.LittleEndian.Uint64(snaps[false][skippedAt:]) == 0 {
+				t.Fatal("the skipping kernel elided no cycle before the snapshot")
+			}
+			skipping := bytes.Clone(snaps[false])
+			binary.LittleEndian.PutUint64(skipping[skippedAt:], 0)
+			if !bytes.Equal(skipping, snaps[true]) {
+				i := 0
+				for i < len(skipping) && i < len(snaps[true]) && skipping[i] == snaps[true][i] {
+					i++
+				}
+				t.Fatalf("skipping and reference snapshots differ at byte %d of %d/%d", i, len(skipping), len(snaps[true]))
+			}
+
+			for _, reference := range []bool{false, true} {
+				m := build(reference)
+				if err := m.Restore(snaps[!reference]); err != nil {
+					t.Fatalf("restore into reference=%v: %v", reference, err)
+				}
+				c, done := m.Run(budget)
+				if !done {
+					t.Fatalf("restored reference=%v run did not complete", reference)
+				}
+				if at+c != c0 {
+					t.Fatalf("restored reference=%v run finished at %d, uninterrupted at %d", reference, at+c, c0)
+				}
+				if got := metricsJSON(t, m); got != want {
+					t.Fatalf("restored reference=%v metrics diverge: %s", reference, firstDiff(got, want))
+				}
+			}
+		})
 	}
 }
 
-// TestRestoreRejectsCorruptMemSection corrupts the slab coordinates of the
-// first node's directory memory in a real snapshot: Restore must return an
-// error, never panic, exhaust memory, or restore the slab elsewhere.
-func TestRestoreRejectsCorruptMemSection(t *testing.T) {
+// sharingSnapshot snapshots sharingMachine(SMTp) four batches into its run.
+func sharingSnapshot(t *testing.T) []byte {
+	t.Helper()
 	m := sharingMachine(SMTp)
 	if _, done := m.Run(4 * SnapshotAlign); done {
 		t.Fatal("run finished before the snapshot point")
@@ -255,6 +325,68 @@ func TestRestoreRejectsCorruptMemSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return snap
+}
+
+// TestRestoreRejectsCorruptBounds patches the counts, cycles and stream
+// positions Restore sizes, schedules or seeks by in a real snapshot:
+// Restore must return an error, never panic, exhaust memory, or accept a
+// position outside the stream.
+func TestRestoreRejectsCorruptBounds(t *testing.T) {
+	snap := sharingSnapshot(t)
+	field := func(mark string, skip int) int {
+		at := bytes.Index(snap, []byte(mark))
+		if at < 0 {
+			t.Fatalf("no %q section in the snapshot", mark)
+		}
+		return at + len(mark) + 8*skip
+	}
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(snap[off:]) }
+	// The machine header: model, nodes, threads, mGHz, cycle, sequence,
+	// skipped, then the component count and the components' next ticks.
+	now := u64(field("\x04mach", 4))
+	comps := field("\x04mach", 7)
+	if n := u64(comps); n != uint64(sharingMachine(SMTp).Eng.NumClocked()) {
+		t.Fatalf("component count reads %d", n)
+	}
+	// The stream positions: thread count, then one position per thread.
+	threads := field("\x03src", 0)
+	if n := u64(threads); n != 4 {
+		t.Fatalf("thread count reads %d", n)
+	}
+	// The event list: count, then the first event's due cycle.
+	events := field("\x04evts", 0)
+	if n := u64(events); n == 0 || u64(events+8) <= now {
+		t.Fatalf("event section reads %d events, first due at %d (now %d)", n, u64(events+8), now)
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    int64
+	}{
+		{"negative component count", comps, -1},
+		{"huge component count", comps, 1 << 40},
+		{"component due at the snapshot cycle", comps + 8, int64(now)},
+		{"event due at cycle 0", events + 8, 0},
+		{"negative stream position", threads + 8, -5},
+		{"stream position past the end", threads + 8, 1 << 40},
+	} {
+		bad := bytes.Clone(snap)
+		binary.LittleEndian.PutUint64(bad[tc.off:], uint64(tc.v))
+		if err := sharingMachine(SMTp).Restore(bad); err == nil {
+			t.Errorf("%s: Restore accepted the corrupt snapshot", tc.name)
+		}
+	}
+	if err := sharingMachine(SMTp).Restore(snap); err != nil {
+		t.Fatalf("uncorrupted snapshot: %v", err)
+	}
+}
+
+// TestRestoreRejectsCorruptMemSection corrupts the slab coordinates of the
+// first node's directory memory in a real snapshot: Restore must return an
+// error, never panic, exhaust memory, or restore the slab elsewhere.
+func TestRestoreRejectsCorruptMemSection(t *testing.T) {
+	snap := sharingSnapshot(t)
 	// Node 0's section opens with its memory: mark, slab count, then the
 	// first slab's group and slab indices.
 	at := bytes.Index(snap, []byte("\x04node\x03mem"))

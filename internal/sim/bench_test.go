@@ -1,8 +1,9 @@
 // Engine microbenchmarks isolating the kernel fast paths: dense event
 // traffic (heap throughput), sparse events over quiescent stretches
 // (cycle skipping; must show zero per-event heap allocations), and an
-// all-quiescent machine (pure jump cost). Reference-engine twins make
-// regressions in either kernel visible in isolation:
+// all-quiescent machine (pure jump cost). The reference-engine twins of
+// the last two step the same workloads cycle by cycle, pricing what
+// skipping saves:
 //
 //	go test ./internal/sim -run '^$' -bench . -benchmem
 package sim
@@ -13,17 +14,7 @@ import "testing"
 // backlog: each operation schedules 8 events spread over the next 8
 // cycles and steps once, so every cycle fires 8 events.
 func BenchmarkDenseEvents(b *testing.B) {
-	benchDenseEvents(b, NewEngine())
-}
-
-// BenchmarkDenseEventsReference is the same workload on the reference
-// engine, whose boxed container/heap queue allocates per push — the
-// -benchmem delta against BenchmarkDenseEvents is the queue rewrite.
-func BenchmarkDenseEventsReference(b *testing.B) {
-	benchDenseEvents(b, NewReferenceEngine())
-}
-
-func benchDenseEvents(b *testing.B, e *Engine) {
+	e := NewEngine()
 	fn := func() {}
 	// Prime the backlog so the timed region runs at steady state.
 	for i := 0; i < 8; i++ {

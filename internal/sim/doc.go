@@ -33,10 +33,11 @@
 // When every component is quiescent and no event is due, Run jumps
 // straight to the earliest due time, handing SkipAware components the
 // count of elided ticks so per-cycle deltas (cycle counters, occupancy
-// samples) stay exact. The skip is observably invisible — identical cycle
-// counts and metrics to the naive kernel, which survives as
-// NewReferenceEngine and is pinned against the skipping engine by
-// differential tests. See DESIGN.md, "Kernel fast path".
+// samples) stay exact. The skip is observably invisible: NewReferenceEngine
+// is the same engine with skipping and lazy deferral switched off, ticking
+// every component at every due cycle, and differential tests pin identical
+// cycle counts and metrics between the two. See DESIGN.md, "Kernel fast
+// path".
 //
 // The package also houses Rand, a SplitMix64 generator; all randomness in
 // the simulator flows through seeded instances of it.

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Cycle is a point in simulated time, measured in processor clock cycles.
 type Cycle uint64
@@ -114,33 +111,9 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// refQueue is the original event queue, retained verbatim for the
-// reference engine: a binary heap driven through container/heap, whose
-// Push boxes every event in an interface value (one heap allocation per
-// scheduled event) and whose sift operations go through dynamic
-// dispatch. The skipping engine replaces it with the monomorphic 4-ary
-// heap below; the reference engine keeps this queue so differential runs
-// and cmd/benchjson compare against the naive kernel's true cost, not
-// just its semantics.
-type refQueue []event
-
-func (h refQueue) Len() int { return len(h) }
-func (h refQueue) Less(i, j int) bool {
-	return eventLess(h[i], h[j])
-}
-func (h refQueue) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refQueue) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *refQueue) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Engine owns simulated time. Create one per machine with NewEngine (or
-// NewReferenceEngine for the naive always-tick kernel the differential
-// tests compare against).
+// NewReferenceEngine for the always-tick oracle the differential tests
+// compare against).
 //
 // The event queue is a monomorphic 4-ary min-heap of event values: no
 // interface boxing, no per-Push allocation once the backing slice has
@@ -153,9 +126,8 @@ type Engine struct {
 	comps     []clockedEntry
 	extras    []Quiescer // unclocked components consulted before skipping
 	events    []event    // 4-ary min-heap ordered by eventLess
-	refEvents refQueue   // boxed container/heap queue (reference engine only)
 	stopped   bool
-	reference bool
+	reference bool // never skip a cycle or defer a tick (NewReferenceEngine)
 	skipped   uint64
 
 	// Keyed-scheduling state (sharded machines; see EnableKeys). ctx is the
@@ -193,25 +165,24 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// NewReferenceEngine returns an engine whose Step scans every clocked
-// component with a modulo check each cycle, whose event queue is the
-// boxed container/heap original, and whose Run never skips a cycle —
-// the naive kernel exactly as it stood before the fast path. It exists
-// as the behavioural oracle and cost baseline for the skipping engine:
-// the differential tests run both over the bench suite and assert equal
-// cycle counts and byte-identical metrics.
+// NewReferenceEngine returns an engine with cycle skipping and lazy
+// deferral switched off: Advance, Run and JumpTo step every cycle,
+// SkipBound always answers the next cycle, and MakeLazy hands out inert
+// handles, so every component ticks live at every due cycle. Events and
+// clocked components share the skipping engine's code paths. It exists as
+// the behavioural oracle for the skipping engine: the differential tests
+// run both over the bench suite and assert equal cycle counts and
+// byte-identical metrics.
 func NewReferenceEngine() *Engine {
 	return &Engine{reference: true}
 }
 
-// Reference reports whether this is the naive reference engine.
-func (e *Engine) Reference() bool { return e.reference }
-
 // Now returns the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// SkippedCycles reports how many cycles the engine has elided so far
-// (always 0 on the reference engine).
+// SkippedCycles reports how many cycles the engine has elided so far. A
+// reference engine elides none itself, but one whose state was imported
+// from a skipping engine's (ImportState) keeps the count it inherited.
 func (e *Engine) SkippedCycles() uint64 { return e.skipped }
 
 // tickCtx marks a context position as a component tick (bit 63 of the
@@ -239,9 +210,6 @@ const tickCtx = uint64(1) << 63
 // ScheduleKeyed interleave with local events exactly as on one big serial
 // engine, and the per-engine seq lane never decides a cross-shard tie.
 func (e *Engine) EnableKeys(tagBase uint64) {
-	if e.reference {
-		panic("sim: EnableKeys on the reference engine")
-	}
 	e.keyed = true
 	e.ctx = [3]uint64{0, 0, 0}
 	for i := range e.comps {
@@ -484,9 +452,6 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// refPush inserts an event into the reference engine's boxed queue.
-func (e *Engine) refPush(ev event) { heap.Push(&e.refEvents, ev) }
-
 // Schedule runs fn at the given absolute cycle. Scheduling in the past (or
 // the current cycle, before events have drained) is an error that panics:
 // same-cycle work should be done inline by the caller.
@@ -495,10 +460,6 @@ func (e *Engine) Schedule(at Cycle, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %d but now is %d", at, e.now))
 	}
 	e.seq++
-	if e.reference {
-		heap.Push(&e.refEvents, event{at: at, seq: e.seq, fn: fn})
-		return
-	}
 	e.pushEvent(event{at: at, pos: e.ctx, seq: e.seq, fn: fn})
 }
 
@@ -534,20 +495,6 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) Step() {
 	e.now++
 	comps := e.comps
-	if e.reference {
-		for len(e.refEvents) > 0 && e.refEvents[0].at <= e.now {
-			ev := heap.Pop(&e.refEvents).(event)
-			ev.fn()
-			e.putDesc(ev.desc)
-		}
-		for i := range comps {
-			ce := &comps[i]
-			if e.now%ce.period == ce.phase {
-				ce.c.Tick(e.now)
-			}
-		}
-		return
-	}
 	e.scanPos = 0
 	for len(e.events) > 0 && e.events[0].at <= e.now {
 		ev := e.popEvent()
@@ -700,23 +647,4 @@ func (e *Engine) Run(maxCycles Cycle) Cycle {
 
 // PendingEvents reports the number of not-yet-fired scheduled events. Useful
 // for drain/quiesce checks in tests.
-func (e *Engine) PendingEvents() int {
-	if e.reference {
-		return len(e.refEvents)
-	}
-	return len(e.events)
-}
-
-// PendingTimes returns the due-times of up to n pending events in heap
-// order — the first is the earliest, the rest unsorted (debug aid).
-func (e *Engine) PendingTimes(n int) []Cycle {
-	evs := e.events
-	if e.reference {
-		evs = e.refEvents
-	}
-	var out []Cycle
-	for i := 0; i < len(evs) && i < n; i++ {
-		out = append(out, evs[i].at)
-	}
-	return out
-}
+func (e *Engine) PendingEvents() int { return len(e.events) }

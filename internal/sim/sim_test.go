@@ -16,17 +16,42 @@ func TestEngineStepOrdering(t *testing.T) {
 	}
 }
 
+// TestEngineClockDividers pins the clock-divider rule on both engines: a
+// component registered with (period, phase) ticks exactly at the cycles
+// where now%period == phase%period, once each.
 func TestEngineClockDividers(t *testing.T) {
-	e := NewEngine()
-	var fast, half, quarter int
-	e.AddClocked(ClockedFunc(func(Cycle) { fast++ }), 1, 0)
-	e.AddClocked(ClockedFunc(func(Cycle) { half++ }), 2, 0)
-	e.AddClocked(ClockedFunc(func(Cycle) { quarter++ }), 4, 0)
-	for i := 0; i < 100; i++ {
-		e.Step()
-	}
-	if fast != 100 || half != 50 || quarter != 25 {
-		t.Fatalf("got fast=%d half=%d quarter=%d, want 100/50/25", fast, half, quarter)
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{{"skipping", NewEngine()}, {"reference", NewReferenceEngine()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			clocks := []struct{ period, phase Cycle }{{1, 0}, {2, 0}, {4, 0}, {2, 1}, {4, 3}, {5, 7}}
+			counts := make([]int, len(clocks))
+			for i, c := range clocks {
+				e.AddClocked(ClockedFunc(func(now Cycle) {
+					if now%c.period != c.phase%c.period {
+						t.Errorf("period %d phase %d ticked at cycle %d", c.period, c.phase, now)
+					}
+					counts[i]++
+				}), c.period, c.phase)
+			}
+			for i := 0; i < 100; i++ {
+				e.Step()
+			}
+			for i, c := range clocks {
+				// Cycles 1..100 matching now%period == phase%period.
+				want := 0
+				for now := Cycle(1); now <= 100; now++ {
+					if now%c.period == c.phase%c.period {
+						want++
+					}
+				}
+				if counts[i] != want {
+					t.Errorf("period %d phase %d: %d ticks in 100 cycles, want %d", c.period, c.phase, counts[i], want)
+				}
+			}
+		})
 	}
 }
 

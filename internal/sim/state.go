@@ -60,12 +60,7 @@ func (e *Engine) ScheduleDesc(at Cycle, d Desc, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %d but now is %d", at, e.now))
 	}
 	e.seq++
-	ev := event{at: at, pos: e.ctx, seq: e.seq, fn: fn, desc: e.takeDesc(d)}
-	if e.reference {
-		e.refPush(ev)
-		return
-	}
-	e.pushEvent(ev)
+	e.pushEvent(event{at: at, pos: e.ctx, seq: e.seq, fn: fn, desc: e.takeDesc(d)})
 }
 
 // AfterDesc is After with an attached restore descriptor.
@@ -106,9 +101,6 @@ func (e *Engine) RestoreEvent(at Cycle, pos [3]uint64, seq uint64, d Desc, fn fu
 // first. Fails if any pending event lacks a descriptor, naming its due
 // cycle so the undescribed scheduling site is easy to locate.
 func (e *Engine) ExportState() (EngineState, error) {
-	if e.reference {
-		return EngineState{}, fmt.Errorf("sim: snapshot of a reference engine is not supported")
-	}
 	st := EngineState{Now: e.now, Seq: e.seq, Skipped: e.skipped}
 	st.Comps = make([]CompState, len(e.comps))
 	for i := range e.comps {
@@ -136,9 +128,6 @@ func (e *Engine) ExportState() (EngineState, error) {
 // re-injects events with RestoreEvent after rebuilding their closures.
 // The component count must match the snapshot (same machine shape).
 func (e *Engine) ImportState(st EngineState) error {
-	if e.reference {
-		return fmt.Errorf("sim: restore into a reference engine is not supported")
-	}
 	if len(st.Comps) != len(e.comps) {
 		return fmt.Errorf("sim: snapshot has %d clocked components, engine has %d", len(st.Comps), len(e.comps))
 	}

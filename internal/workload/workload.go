@@ -135,6 +135,9 @@ func (s *SliceSource) Done() bool { return s.pos >= len(s.ins) }
 // Pos returns the number of consumed instructions (machine snapshots).
 func (s *SliceSource) Pos() int { return s.pos }
 
+// Len returns the stream length, the largest valid position.
+func (s *SliceSource) Len() int { return len(s.ins) }
+
 // SetPos repositions the stream (machine restore). The sync-distance cache
 // is invalidated so the next SyncDistance rescans from the new position.
 func (s *SliceSource) SetPos(p int) {
