@@ -2,12 +2,13 @@
 # formatting, vet, the simlint static-analysis suite, build, the
 # unit/integration suite, the hot packages again with poolcheck message
 # poisoning, the whole suite again under the race detector, the METRICS.md
-# schema freshness, one iteration of two root benchmarks
-# (`make bench-smoke`), an end-to-end smoke of the simulation service
-# (`make serve-smoke`), a sharded-execution smoke (`make shard-smoke`), a
-# jittered barrier stress under the race detector (`make shard-stress`), a
-# checkpoint/restore smoke (`make snapshot-smoke`), and the repository
-# benchmark's own tests (`make perfbench-test`). Performance is measured
+# schema freshness, one iteration of two root benchmarks and of the
+# per-layer microbenchmarks (`make bench-smoke`), an end-to-end smoke of
+# the simulation service (`make serve-smoke`), a sharded-execution smoke
+# (`make shard-smoke`), a jittered barrier stress under the race detector
+# (`make shard-stress`), a checkpoint/restore smoke (`make
+# snapshot-smoke`), and the repository benchmark's own tests (`make
+# perfbench-test`). Performance is measured
 # by perfbench (BENCHMARK.json), not by this file.
 
 GO ?= go
@@ -56,11 +57,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Quick sanity of the root benchmarks for `make check`: two small ones, one
-# iteration each. The repository benchmark of record is perfbench
+# Quick sanity of the benchmarks for `make check`: two small root ones and
+# every per-layer microbenchmark, one iteration each, so they keep
+# compiling and running. The repository benchmark of record is perfbench
 # (BENCHMARK.json, perfbench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig2|AblationBitOps' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/addrmap/ ./internal/cache/ ./internal/coherence/ ./internal/memctrl/ ./internal/network/ ./internal/pipeline/ ./internal/sim/ ./internal/workload/
 
 # End-to-end smoke of sharded execution (DESIGN.md §13): one 16-node
 # config split across 4 OS threads must run to completion through the

@@ -52,7 +52,9 @@ func (e *env) CacheDowngrade(l uint64) bool {
 	return was == cache.Modified
 }
 
-func show(who string, tr []isa.Instr) []*network.Message {
+// show prints one handler's trace and fires its effects out of fx: sends
+// come back as the messages to deliver next.
+func show(who string, fx *coherence.EffectArena, tr []isa.Instr) []*network.Message {
 	fmt.Printf("-- handler at %s (%d instructions):\n", who, len(tr))
 	var out []*network.Message
 	for _, in := range tr {
@@ -67,13 +69,15 @@ func show(who string, tr []isa.Instr) []*network.Message {
 		case in.Op.IsMem():
 			line += fmt.Sprintf("addr=%#x", in.Addr)
 		}
-		if s, ok := in.Payload.(*coherence.SendEffect); ok {
-			m := s.Msg
-			line += fmt.Sprintf("   => send %v to node %d", coherence.MsgType(m.Type), m.Dst)
-			out = append(out, m)
-		}
-		if _, ok := in.Payload.(*coherence.RefillEffect); ok {
-			line += "   => refill local cache"
+		if in.Effect != 0 {
+			switch e := fx.Take(in.Effect); e.Kind {
+			case coherence.EffSend:
+				m := e.Msg
+				line += fmt.Sprintf("   => send %v to node %d", coherence.MsgType(m.Type), m.Dst)
+				out = append(out, &m)
+			case coherence.EffRefill:
+				line += "   => refill local cache"
+			}
 		}
 		fmt.Println(line)
 	}
@@ -91,15 +95,16 @@ func main() {
 	nodes[2].dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 3})
 	nodes[3].l2[addr] = cache.Modified
 
+	fx := coherence.NewEffectArena()
 	fmt.Println("Three-hop read: node 1 reads a line homed at node 2, dirty at node 3")
-	msgs := show("requester (node 1): PIRead",
-		coherence.Handle(nodes[1], &network.Message{Src: 1, Dst: 1,
+	msgs := show("requester (node 1): PIRead", fx,
+		coherence.Handle(nodes[1], fx, &network.Message{Src: 1, Dst: 1,
 			Type: uint8(coherence.MsgPIRead), Addr: addr}))
 	for len(msgs) > 0 {
 		m := msgs[0]
 		msgs = msgs[1:]
 		who := fmt.Sprintf("node %d: %v", m.Dst, coherence.MsgType(m.Type))
-		msgs = append(msgs, show(who, coherence.Handle(nodes[m.Dst], m))...)
+		msgs = append(msgs, show(who, fx, coherence.Handle(nodes[m.Dst], fx, m))...)
 	}
 	final := nodes[2].dir.Load(addr)
 	fmt.Printf("\nfinal directory state at home: %v, sharers %b\n", final.State, final.Sharers)

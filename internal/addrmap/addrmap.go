@@ -11,7 +11,10 @@
 //	                      ldctxt, send header/address registers)
 package addrmap
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // NodeID identifies a node (processor + memory + NI) in the machine.
 type NodeID int
@@ -123,19 +126,18 @@ func DirAddrOf(addr uint64, nodes int) uint64 {
 	return DirBase + line*uint64(DirEntrySize(nodes))
 }
 
-// Memory geometry: the sparse store hands out 64 KiB slabs, found by a
-// two-level radix walk. The top level splits the 48-bit space into 4 GiB
-// groups (the region bases above land on distinct, small group indices) and
-// is a lazily grown slice; each group holds a lazily allocated table of
-// slab pointers. A value access is therefore two shifts, a mask and two
-// slice indexes — no hashing, no map.
+// Memory geometry: the sparse store hands out 64 KiB slabs, numbered by
+// addr >> SlabShift. The snapshot format names a slab by its 4 GiB group
+// (addr >> 32; the region bases above land on distinct, small group
+// indices) and its index within the group, so the group constants survive
+// as the codec's coordinates.
 const (
 	SlabShift = 16
 	SlabSize  = 1 << SlabShift // backing-store slab (64 KiB)
 	slabMask  = SlabSize - 1
 
 	groupShift = 32
-	groupSlabs = 1 << (groupShift - SlabShift) // slab pointers per group
+	groupSlabs = 1 << (groupShift - SlabShift) // slabs per group
 	groupMask  = groupSlabs - 1
 
 	physBits  = 48                           // the physical address space
@@ -148,8 +150,14 @@ type slab = [SlabSize]byte
 // entries) carries meaningful values; application data is timing-only.
 // Reads of untouched memory return zero without allocating backing storage;
 // slabs are allocated (zeroed) on first write.
+//
+// The index is sized by the slabs actually touched — a node typically
+// writes one or two — and holds no pointers: a sorted list of slab numbers,
+// found by binary search, parallel to the slabs themselves. Slabs are
+// pointer-free arrays, so the collector marks them without scanning them.
 type Memory struct {
-	groups [][]*slab // [addr>>32][addr>>16 & groupMask]
+	nums  []uint64 // slab numbers (addr >> SlabShift), ascending
+	slabs []*slab  // slabs[i] backs slab number nums[i]
 }
 
 // NewMemory returns an empty store.
@@ -157,32 +165,27 @@ func NewMemory() *Memory { return &Memory{} }
 
 // slabOf returns the slab covering addr, or nil when absent and !alloc.
 func (m *Memory) slabOf(addr uint64, alloc bool) *slab {
-	hi := int(addr >> groupShift)
-	if hi >= len(m.groups) {
-		if !alloc {
-			return nil
+	num := addr >> SlabShift
+	// A hand-rolled binary search: this is the directory's hot path, and
+	// the generic slices.BinarySearch is not inlined here.
+	i, j := 0, len(m.nums)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if m.nums[h] < num {
+			i = h + 1
+		} else {
+			j = h
 		}
-		g := make([][]*slab, hi+1)
-		copy(g, m.groups)
-		m.groups = g
 	}
-	grp := m.groups[hi]
-	if grp == nil {
-		if !alloc {
-			return nil
-		}
-		grp = make([]*slab, groupSlabs)
-		m.groups[hi] = grp
+	if i < len(m.nums) && m.nums[i] == num {
+		return m.slabs[i]
 	}
-	mid := int(addr>>SlabShift) & groupMask
-	s := grp[mid]
-	if s == nil {
-		if !alloc {
-			return nil
-		}
-		s = new(slab)
-		grp[mid] = s
+	if !alloc {
+		return nil
 	}
+	s := new(slab)
+	m.nums = slices.Insert(m.nums, i, num)
+	m.slabs = slices.Insert(m.slabs, i, s)
 	return s
 }
 
@@ -224,14 +227,4 @@ func (m *Memory) Write32(addr uint64, v uint32) {
 
 // SlabCount reports the number of allocated backing slabs (test and
 // observability aid: footprint = SlabCount * SlabSize).
-func (m *Memory) SlabCount() int {
-	n := 0
-	for _, g := range m.groups {
-		for _, s := range g {
-			if s != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (m *Memory) SlabCount() int { return len(m.nums) }

@@ -1,6 +1,7 @@
 package addrmap
 
 import (
+	"runtime"
 	"testing"
 
 	"smtpsim/internal/snapshot"
@@ -156,5 +157,24 @@ func TestMemoryLoadStateRejectsBadSlabs(t *testing.T) {
 	}
 	if r.Read64(0) != 1 || r.Read64(top) != 2 {
 		t.Fatal("valid edge slabs did not round-trip")
+	}
+}
+
+// TestMemoryFirstWriteFootprint: the first directory write to an empty
+// store allocates its slab plus a constant-size index — not a table sized
+// by the address space.
+func TestMemoryFirstWriteFootprint(t *testing.T) {
+	const indexBytes = 256
+	m := NewMemory()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Write32(DirAddrOf(12345*CoherenceLineSize, 16), 7)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > SlabSize+indexBytes {
+		t.Fatalf("first write allocated %d bytes, want at most one %d-byte slab plus %d bytes of index",
+			got, SlabSize, indexBytes)
+	}
+	if n := m.SlabCount(); n != 1 {
+		t.Fatalf("first write allocated %d slabs, want 1", n)
 	}
 }

@@ -3,36 +3,26 @@ package addrmap
 import "smtpsim/internal/snapshot"
 
 // SaveState serializes the sparse store as a list of allocated slabs in
-// radix order (group index, then slab index) — the backing structure's own
-// dense layout, never a map. Untouched slabs are absent on both sides:
-// reads of absent memory return zero before and after a round trip.
+// ascending address order, each named by its group and its index within
+// the group — the index's own sorted order, never a map. Untouched slabs
+// are absent on both sides: reads of absent memory return zero before and
+// after a round trip.
 func (m *Memory) SaveState(e *snapshot.Encoder) {
 	e.Mark("mem")
-	e.Int(m.SlabCount())
-	for hi, g := range m.groups {
-		for mid, s := range g {
-			if s == nil {
-				continue
-			}
-			e.Int(hi)
-			e.Int(mid)
-			e.Bytes(s[:])
-		}
+	e.Int(len(m.nums))
+	for i, num := range m.nums {
+		e.Int(int(num >> (groupShift - SlabShift)))
+		e.Int(int(num & groupMask))
+		e.Bytes(m.slabs[i][:])
 	}
 }
 
-// LoadState restores state saved by SaveState into an empty (or reusable)
-// store; previously allocated slabs not present in the snapshot are zeroed
-// rather than freed, which is observationally identical.
+// LoadState restores state saved by SaveState, replacing the store's
+// contents: slabs not present in the snapshot are dropped, which is
+// observationally identical to zeroing them.
 func (m *Memory) LoadState(d *snapshot.Decoder) {
 	d.Expect("mem")
-	for _, g := range m.groups {
-		for _, s := range g {
-			if s != nil {
-				*s = slab{}
-			}
-		}
-	}
+	*m = Memory{}
 	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
 		hi := d.Int()
 		mid := d.Int()

@@ -63,12 +63,12 @@ type Config struct {
 func (c Config) Sets() int { return c.Size / (c.LineSize * c.Assoc) }
 
 // Cache is a set-associative cache with true-LRU replacement. All lines
-// live in one flat backing array (sets[i] is a view into it) so a cache is
-// two heap objects regardless of geometry.
+// live in one flat, pointer-free backing array — set i is the Assoc ways
+// starting at lines[i*Assoc] — so a cache is two heap objects regardless of
+// geometry, and the collector never scans its lines.
 type Cache struct {
 	cfg   Config
-	lines []Line   // sets*assoc backing store
-	sets  [][]Line // per-set views into lines
+	lines []Line // sets*assoc backing store
 	clock uint64
 
 	// Shift/mask index decomposition; New guarantees LineSize and the set
@@ -105,15 +105,11 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:   cfg,
 		lines: make([]Line, sets*cfg.Assoc),
-		sets:  make([][]Line, sets),
 	}
 	for c.cfg.LineSize>>c.lineShift > 1 {
 		c.lineShift++
 	}
 	c.setMask = uint64(sets - 1)
-	for i := range c.sets {
-		c.sets[i] = c.lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	return c
 }
 
@@ -128,10 +124,16 @@ func (c *Cache) SetIndex(addr uint64) int {
 	return int((addr >> c.lineShift) & c.setMask)
 }
 
+// set returns the ways of the set addr maps to.
+func (c *Cache) set(addr uint64) []Line {
+	i := c.SetIndex(addr) * c.cfg.Assoc
+	return c.lines[i : i+c.cfg.Assoc : i+c.cfg.Assoc]
+}
+
 // Probe returns the line holding addr without updating LRU, or nil.
 func (c *Cache) Probe(addr uint64) *Line {
 	tag := c.LineAddr(addr)
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(addr)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == tag {
 			return &set[i]
@@ -157,7 +159,7 @@ func (c *Cache) Access(addr uint64) *Line {
 // State is Invalid if the way was free). The new line becomes MRU.
 func (c *Cache) Fill(addr uint64, st State) (evicted Line) {
 	tag := c.LineAddr(addr)
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(addr)
 	victim := 0
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == tag {
@@ -187,7 +189,7 @@ func (c *Cache) Fill(addr uint64, st State) (evicted Line) {
 // the line itself is present.
 func (c *Cache) WouldEvict(addr uint64) Line {
 	tag := c.LineAddr(addr)
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(addr)
 	victim := 0
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == tag {
@@ -268,11 +270,9 @@ func (c *Cache) ValidLines() int { return c.valid }
 // Lines calls fn for every valid line (order unspecified). Used by the
 // machine-level coherence invariant checker.
 func (c *Cache) Lines(fn func(tag uint64, st State)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].State != Invalid {
-				fn(c.sets[s][w].Tag, c.sets[s][w].State)
-			}
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			fn(c.lines[i].Tag, c.lines[i].State)
 		}
 	}
 }

@@ -174,10 +174,10 @@ func TestQuickNoDuplicateTags(t *testing.T) {
 			}
 		}
 		ok := true
-		for s := range c.sets {
+		for s := 0; s < c.cfg.Sets(); s++ {
 			tags := map[uint64]int{}
 			valid := 0
-			for _, l := range c.sets[s] {
+			for _, l := range c.lines[s*c.cfg.Assoc : (s+1)*c.cfg.Assoc] {
 				if l.State != Invalid {
 					valid++
 					tags[l.Tag]++

@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"smtpsim/internal/snapshot"
+)
 
 func TestMSHRAllocFindFree(t *testing.T) {
 	f := NewMSHRFile(4, false)
@@ -116,5 +120,33 @@ func TestMSHREntriesIteration(t *testing.T) {
 	f.Entries(func(e *MSHREntry) { n++ })
 	if n != 2 {
 		t.Fatalf("Entries visited %d, want 2", n)
+	}
+}
+
+// TestMSHRLoadStateRejectsCorruptWaiterCount: a waiter count that cannot fit
+// in the stream is a decode error, never an allocation sized from it.
+func TestMSHRLoadStateRejectsCorruptWaiterCount(t *testing.T) {
+	e := snapshot.NewEncoder()
+	e.Mark("mshr")
+	e.U64(0) // allocSeq
+	e.U64(0) // AllocFails
+	e.Int(1) // one general entry
+	e.Bool(true)
+	e.U64(0x100)
+	e.Bool(false)
+	e.U8(uint8(ClassApp))
+	e.Bool(true)
+	e.Int(0)
+	e.U64(1)
+	e.Bool(false)
+	e.Int(1 << 60) // waiters
+	d, err := snapshot.NewDecoder(e.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewMSHRFile(1, false)
+	f.LoadState(d, func(d *snapshot.Decoder) interface{} { return d.U8() })
+	if d.Err() == nil {
+		t.Fatal("LoadState accepted 2^60 waiters")
 	}
 }

@@ -106,12 +106,13 @@ func loadMSHREntry(d *snapshot.Decoder, m *MSHREntry, loadWaiter func(*snapshot.
 	m.AcksLeft = d.Int()
 	m.Gen = d.U64()
 	m.storeSlot = d.Bool()
-	n := d.Int()
-	if d.Err() != nil || n <= 0 {
+	// Each waiter encodes to at least one byte.
+	n := d.Count(1)
+	if n == 0 {
 		return
 	}
 	m.Waiters = make([]interface{}, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		m.Waiters = append(m.Waiters, loadWaiter(d))
 	}
 }

@@ -5,102 +5,122 @@ import (
 	"smtpsim/internal/network"
 )
 
-// EffectPool recycles the effect payloads handlers attach to trace
-// instructions. Effects are single-consumer: the memory controller that owns
-// the dispatch fires each payload exactly once (at PP retire or SMTp
-// graduation) and returns it here, so the steady-state dispatch path
-// allocates no effect structs. A nil pool on the Ctx (tests, trace tooling)
-// falls back to the heap and never releases.
-type EffectPool struct {
-	sends   []*SendEffect
-	refills []*RefillEffect
-	naks    []*NakEffect
-	iacks   []*IAckEffect
-	wbacks  []*WBAckEffect
+// EffectKind names what an effect does when it fires.
+type EffectKind uint8
+
+// Effect kinds. The zero kind marks a free arena slot.
+const (
+	effFree EffectKind = iota
+	// EffSend emits Msg. With NeedsMemory the message carries line data
+	// read from local SDRAM and may not leave before the fetch (initiated
+	// at dispatch) completes.
+	EffSend
+	// EffRefill completes an outstanding local miss: fill the line into
+	// L2/L1 in state St and wake MSHR waiters. Acks is the number of
+	// invalidation acks still expected (eager-exclusive replies); Upgrade
+	// marks an ownership-only grant (no data fill, just a state change);
+	// NeedsMemory makes the data come from a local SDRAM fetch.
+	EffRefill
+	// EffNak tells the requester's miss machinery to retry the transaction.
+	EffNak
+	// EffIAck delivers one invalidation ack for the line.
+	EffIAck
+	// EffWBAck completes an outstanding writeback.
+	EffWBAck
+)
+
+// Effect is one timed side effect of a handler, attached to the trace
+// instruction whose completion fires it (graduation on SMTp, retire on the
+// PP). It is plain data: the send's message is held by value and only
+// becomes a pooled network message when the effect fires.
+type Effect struct {
+	Kind        EffectKind
+	St          cache.State // EffRefill
+	Upgrade     bool        // EffRefill
+	NeedsMemory bool        // EffSend, EffRefill
+	Acks        int         // EffRefill
+	Line        uint64      // the coherence line, for every kind
+	Msg         network.Message
 }
 
-// NewEffectPool returns an empty pool; free lists grow on release.
-func NewEffectPool() *EffectPool { return &EffectPool{} }
-
-// PutSend releases a fired SendEffect. The message it carried is owned by
-// the network from Send on; the reference is dropped here.
-func (p *EffectPool) PutSend(e *SendEffect) {
-	e.Msg = nil
-	p.sends = append(p.sends, e)
+// EffectArena owns the effects of the handler traces one dispatch unit has
+// produced and not yet fired. A trace instruction names its effect by a
+// uint32 handle into the arena (isa.Instr.Effect), so traces, stream
+// buffers and uops stay pointer-free. Handles are local to one arena: the
+// owning memory controller issues them at dispatch, fires each exactly once
+// with Take, and re-issues fresh ones when a snapshot is restored (the
+// snapshot stores effects by value, never handles). Handle 0 is never
+// issued; it means "no effect".
+//
+// Slots are recycled through a free list, so the steady-state dispatch path
+// allocates nothing once the arena has grown to its high-water mark (a few
+// handlers' worth of effects).
+type EffectArena struct {
+	slots []Effect // slots[0] is the reserved "no effect" slot
+	free  []uint32
 }
 
-// PutRefill releases a fired RefillEffect.
-func (p *EffectPool) PutRefill(e *RefillEffect) { p.refills = append(p.refills, e) }
+// NewEffectArena returns an empty arena.
+func NewEffectArena() *EffectArena { return &EffectArena{} }
 
-// PutNak releases a fired NakEffect.
-func (p *EffectPool) PutNak(e *NakEffect) { p.naks = append(p.naks, e) }
-
-// PutIAck releases a fired IAckEffect.
-func (p *EffectPool) PutIAck(e *IAckEffect) { p.iacks = append(p.iacks, e) }
-
-// PutWBAck releases a fired WBAckEffect.
-func (p *EffectPool) PutWBAck(e *WBAckEffect) { p.wbacks = append(p.wbacks, e) }
-
-// Effect allocators used by the handler programs. Each draws from the
-// dispatch pool when one is attached, initialising every field explicitly
-// (recycled effects carry stale values).
-
-func (c *Ctx) sendEffect(m *network.Message, needsMem bool) *SendEffect {
-	if p := c.Effects; p != nil {
-		if k := len(p.sends); k > 0 {
-			e := p.sends[k-1]
-			p.sends = p.sends[:k-1]
-			e.Msg, e.NeedsMemory = m, needsMem
-			return e
-		}
+// issue stores e and returns its handle.
+func (a *EffectArena) issue(e Effect) uint32 {
+	if k := len(a.free); k > 0 {
+		h := a.free[k-1]
+		a.free = a.free[:k-1]
+		a.slots[h] = e
+		return h
 	}
-	return &SendEffect{Msg: m, NeedsMemory: needsMem}
+	if len(a.slots) == 0 {
+		a.slots = append(a.slots, Effect{})
+	}
+	a.slots = append(a.slots, e)
+	return uint32(len(a.slots) - 1)
 }
 
-func (c *Ctx) refillEffect(line uint64, st cache.State, acks int, upgrade, needsMem bool) *RefillEffect {
-	if p := c.Effects; p != nil {
-		if k := len(p.refills); k > 0 {
-			e := p.refills[k-1]
-			p.refills = p.refills[:k-1]
-			*e = RefillEffect{LineAddr: line, St: st, Acks: acks, Upgrade: upgrade, NeedsMemory: needsMem}
-			return e
-		}
-	}
-	return &RefillEffect{LineAddr: line, St: st, Acks: acks, Upgrade: upgrade, NeedsMemory: needsMem}
+// Get returns the live effect h names without firing it (snapshot codec,
+// trace tooling). The pointer is valid until the next issue.
+func (a *EffectArena) Get(h uint32) *Effect {
+	a.checkLive(h)
+	return &a.slots[h]
 }
 
-func (c *Ctx) nakEffect(line uint64) *NakEffect {
-	if p := c.Effects; p != nil {
-		if k := len(p.naks); k > 0 {
-			e := p.naks[k-1]
-			p.naks = p.naks[:k-1]
-			e.LineAddr = line
-			return e
-		}
-	}
-	return &NakEffect{LineAddr: line}
+// Take fires h: it returns the effect by value and frees its slot, so a
+// handle is consumed exactly once. Under the poolcheck build tag taking a
+// free or never-issued handle panics.
+func (a *EffectArena) Take(h uint32) Effect {
+	a.checkLive(h)
+	e := a.slots[h]
+	a.slots[h] = Effect{}
+	a.free = append(a.free, h)
+	return e
 }
 
-func (c *Ctx) iackEffect(line uint64) *IAckEffect {
-	if p := c.Effects; p != nil {
-		if k := len(p.iacks); k > 0 {
-			e := p.iacks[k-1]
-			p.iacks = p.iacks[:k-1]
-			e.LineAddr = line
-			return e
-		}
+// Live reports the number of issued, not yet fired effects.
+func (a *EffectArena) Live() int {
+	if len(a.slots) == 0 {
+		return 0
 	}
-	return &IAckEffect{LineAddr: line}
+	return len(a.slots) - 1 - len(a.free)
 }
 
-func (c *Ctx) wbackEffect(line uint64) *WBAckEffect {
-	if p := c.Effects; p != nil {
-		if k := len(p.wbacks); k > 0 {
-			e := p.wbacks[k-1]
-			p.wbacks = p.wbacks[:k-1]
-			e.LineAddr = line
-			return e
-		}
-	}
-	return &WBAckEffect{LineAddr: line}
+// Reset frees every slot. Restore calls it before re-issuing the handles
+// of the restored traces.
+func (a *EffectArena) Reset() {
+	a.slots = a.slots[:0]
+	a.free = a.free[:0]
+}
+
+// Effect constructors used by the handler programs.
+
+func (c *Ctx) sendEffect(m network.Message, needsMem bool) uint32 {
+	return c.Effects.issue(Effect{Kind: EffSend, NeedsMemory: needsMem, Line: m.Addr, Msg: m})
+}
+
+func (c *Ctx) refillEffect(line uint64, st cache.State, acks int, upgrade, needsMem bool) uint32 {
+	return c.Effects.issue(Effect{Kind: EffRefill, Line: line, St: st, Acks: acks, Upgrade: upgrade, NeedsMemory: needsMem})
+}
+
+func (c *Ctx) lineEffect(k EffectKind, line uint64) uint32 {
+	return c.Effects.issue(Effect{Kind: k, Line: line})
 }

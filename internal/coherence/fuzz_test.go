@@ -39,6 +39,10 @@ type fuzzSys struct {
 	retry []*retryOp
 	log   []string
 
+	// fx holds the effects of the handler traces; each is fired (taken)
+	// exactly once right after its handler runs.
+	fx *EffectArena
+
 	// pool, when non-nil, runs the fuzz through the pooled dispatch path:
 	// every message is drawn from the pool and released at its handling
 	// point, exactly as memctrl.dispatch does. Under -tags poolcheck the
@@ -61,8 +65,10 @@ func newFuzzSys(t *testing.T, nodes int, seed uint64) *fuzzSys {
 		t:     t,
 		rng:   sim.NewRand(seed),
 		chans: map[[2]int][]*network.Message{},
+		fx:    NewEffectArena(),
 		table: DefaultTable(),
 	}
+	s.hctx.Effects = s.fx
 	for i := 0; i < nodes; i++ {
 		s.nodes = append(s.nodes, &fuzzNode{
 			mockEnv:     newMockEnv(addrmap.NodeID(i), nodes),
@@ -88,42 +94,47 @@ func (s *fuzzSys) send(m *network.Message) {
 	s.chans[key] = append(s.chans[key], m)
 }
 
-// applyEffects runs a handler trace's side effects on the issuing node.
-func (s *fuzzSys) applyEffects(n *fuzzNode, tr []interface{}) {
-	for _, eff := range tr {
-		switch e := eff.(type) {
-		case *SendEffect:
-			s.send(e.Msg)
-		case *RefillEffect:
+// applyEffects fires a handler trace's effects on the issuing node.
+func (s *fuzzSys) applyEffects(n *fuzzNode, effs []uint32) {
+	for _, h := range effs {
+		e := s.fx.Take(h)
+		switch e.Kind {
+		case EffSend:
+			m := &e.Msg
+			if s.pool != nil {
+				m = s.pool.GetCopy(m)
+			}
+			s.send(m)
+		case EffRefill:
 			s.refill(n, e)
-		case *NakEffect:
-			s.nak(n, e.LineAddr)
-		case *IAckEffect:
-			s.iack(n, e.LineAddr)
-		case *WBAckEffect:
-			delete(n.wbPending, e.LineAddr)
+		case EffNak:
+			s.nak(n, e.Line)
+		case EffIAck:
+			s.iack(n, e.Line)
+		case EffWBAck:
+			delete(n.wbPending, e.Line)
 		}
 	}
 }
 
-func (s *fuzzSys) refill(n *fuzzNode, e *RefillEffect) {
-	if !n.outstanding[e.LineAddr] {
-		s.fail("node %d refill for line %#x without an outstanding miss", n.id, e.LineAddr)
+func (s *fuzzSys) refill(n *fuzzNode, e Effect) {
+	if !n.outstanding[e.Line] {
+		s.fail("node %d refill for line %#x without an outstanding miss", n.id, e.Line)
 	}
-	delete(n.outstanding, e.LineAddr)
-	delete(n.wantExcl, e.LineAddr)
-	n.l2[e.LineAddr] = e.St
+	delete(n.outstanding, e.Line)
+	delete(n.wantExcl, e.Line)
+	n.l2[e.Line] = e.St
 	if e.St.Writable() {
 		// Model the store completing: line becomes dirty.
-		n.l2[e.LineAddr] = cache.Modified
+		n.l2[e.Line] = cache.Modified
 	}
 	if e.Acks != 0 {
-		n.acks[e.LineAddr] += e.Acks
-		if n.acks[e.LineAddr] == 0 {
-			delete(n.acks, e.LineAddr)
+		n.acks[e.Line] += e.Acks
+		if n.acks[e.Line] == 0 {
+			delete(n.acks, e.Line)
 		}
 	}
-	s.unpark(n, e.LineAddr)
+	s.unpark(n, e.Line)
 }
 
 func (s *fuzzSys) iack(n *fuzzNode, line uint64) {
@@ -165,15 +176,15 @@ func (s *fuzzSys) handleAt(n *fuzzNode, m *network.Message) {
 		n.id, MsgType(m.Type), m.Addr, m.Src, m.Requester, m.Aux)
 	var tr []isa.Instr
 	if s.pool != nil {
-		tr = s.table.HandleInto(&s.hctx, n.mockEnv, s.pool, m, s.tbuf)
+		tr = s.table.HandleInto(&s.hctx, n.mockEnv, m, s.tbuf)
 		s.tbuf = tr
 	} else {
-		tr = Handle(n.mockEnv, m)
+		tr = Handle(n.mockEnv, s.fx, m)
 	}
-	var effs []interface{}
+	var effs []uint32
 	for i := range tr {
-		if tr[i].Payload != nil {
-			effs = append(effs, tr[i].Payload)
+		if tr[i].Effect != 0 {
+			effs = append(effs, tr[i].Effect)
 		}
 	}
 	if s.pool != nil {
@@ -384,8 +395,10 @@ func TestProtocolFuzz(t *testing.T) {
 // TestProtocolFuzzPooled re-runs the protocol fuzz through the pooled
 // dispatch path (HandleInto + explicit Put at the handling point). In the
 // default build this proves pooled message recycling reaches the same
-// drained states; under -tags poolcheck released messages are poisoned, so
-// a handler that re-sends, retains or double-releases a message panics.
+// drained states and leaves no effect in the arena; under -tags poolcheck
+// released messages are poisoned and fired effect slots are checked, so a
+// handler that re-sends, retains or double-releases a message, or an effect
+// fired twice, panics.
 func TestProtocolFuzzPooled(t *testing.T) {
 	const nodes = 4
 	lines := []uint64{0, 128, 4096, 8192, 12288}
@@ -413,6 +426,9 @@ func TestProtocolFuzzPooled(t *testing.T) {
 			// point once the system drained.
 			t.Fatalf("seed %d: pool leak: gets=%d news=%d puts=%d",
 				seed, s.pool.Gets, s.pool.News, s.pool.Puts)
+		}
+		if n := s.fx.Live(); n != 0 {
+			t.Fatalf("seed %d: %d effects left unfired in the arena", seed, n)
 		}
 	}
 }

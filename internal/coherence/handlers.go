@@ -28,7 +28,7 @@ func (c *Ctx) wbSource() addrmap.NodeID {
 // localEffect converts a reply type into the direct local effect used when
 // the destination is this node itself (the MC's data-reply path to the L2,
 // Figure 1, rather than a network loopback plus a second handler).
-func localEffect(c *Ctx, t MsgType, line uint64, acks int, needsMem bool) interface{} {
+func localEffect(c *Ctx, t MsgType, line uint64, acks int, needsMem bool) uint32 {
 	switch t {
 	case MsgPUT:
 		return c.refillEffect(line, cache.Shared, 0, false, needsMem)
@@ -37,37 +37,37 @@ func localEffect(c *Ctx, t MsgType, line uint64, acks int, needsMem bool) interf
 	case MsgUPGACK:
 		return c.refillEffect(line, cache.Exclusive, acks, true, false)
 	case MsgNAK:
-		return c.nakEffect(line)
+		return c.lineEffect(EffNak, line)
 	case MsgIACK:
-		return c.iackEffect(line)
+		return c.lineEffect(EffIAck, line)
 	case MsgWBACK:
-		return c.wbackEffect(line)
+		return c.lineEffect(EffWBAck, line)
 	}
 	panic("coherence: no local form for message " + t.String())
 }
 
 // emitMsg builds the effect for sending message type t to dst. Self-directed
 // replies collapse into their local effect.
-func emitMsg(t MsgType, dst addrmap.NodeID, c *Ctx, acks int, needsMem bool) interface{} {
+func emitMsg(t MsgType, dst addrmap.NodeID, c *Ctx, acks int, needsMem bool) uint32 {
 	if dst == c.Env.NodeID() && t.VC() == network.VCReply &&
 		t != MsgSHWB && t != MsgXFER && t != MsgIVNAK {
 		return localEffect(c, t, c.Line(), acks, needsMem)
 	}
-	m := c.allocMsg()
-	m.Src = c.Env.NodeID()
-	m.Dst = dst
-	m.Requester = c.req()
-	m.VC = t.VC()
-	m.Type = uint8(t)
-	m.Addr = c.Line()
-	m.Aux = uint64(acks)
-	m.DataBytes = t.DataBytes()
-	return c.sendEffect(m, needsMem)
+	return c.sendEffect(network.Message{
+		Src:       c.Env.NodeID(),
+		Dst:       dst,
+		Requester: c.req(),
+		VC:        t.VC(),
+		Type:      uint8(t),
+		Addr:      c.Line(),
+		Aux:       uint64(acks),
+		DataBytes: t.DataBytes(),
+	}, needsMem)
 }
 
 // sendTo wraps emitMsg as a builder effect closure.
 func sendTo(t MsgType, dstFn func(*Ctx) addrmap.NodeID, acksFn func(*Ctx) int, needsMem bool) effFn {
-	return func(c *Ctx) interface{} {
+	return func(c *Ctx) uint32 {
 		acks := 0
 		if acksFn != nil {
 			acks = acksFn(c)
@@ -490,7 +490,7 @@ func buildIVNAK() *Program {
 			c.Env.DirStore(c.Msg.Addr, directory.Entry{State: directory.Dirty, Owner: c.E.Pending})
 		}).
 		st(rT1, dirAddr, nil).
-		send(func(c *Ctx) interface{} { return emitMsg(MsgPUTX, c.E.Pending, c, 0, true) }).
+		send(func(c *Ctx) uint32 { return emitMsg(MsgPUTX, c.E.Pending, c, 0, true) }).
 		jmp("drop").
 		label("shared").
 		act(rT1, rDir, func(c *Ctx) {
@@ -499,7 +499,7 @@ func buildIVNAK() *Program {
 			})
 		}).
 		st(rT1, dirAddr, nil).
-		send(func(c *Ctx) interface{} { return emitMsg(MsgPUT, c.E.Pending, c, 0, true) }).
+		send(func(c *Ctx) uint32 { return emitMsg(MsgPUT, c.E.Pending, c, 0, true) }).
 		label("drop")
 	return b.done()
 }
@@ -512,38 +512,38 @@ func replyProg(name string, t MsgType, eff effFn) *Program {
 }
 
 func buildPUT() *Program {
-	return replyProg("h_put", MsgPUT, func(c *Ctx) interface{} {
+	return replyProg("h_put", MsgPUT, func(c *Ctx) uint32 {
 		return c.refillEffect(c.Line(), cache.Shared, 0, false, false)
 	})
 }
 
 func buildPUTX() *Program {
-	return replyProg("h_putx", MsgPUTX, func(c *Ctx) interface{} {
+	return replyProg("h_putx", MsgPUTX, func(c *Ctx) uint32 {
 		return c.refillEffect(c.Line(), cache.Exclusive, int(c.Msg.Aux), false, false)
 	})
 }
 
 func buildUPGACK() *Program {
-	return replyProg("h_upgack", MsgUPGACK, func(c *Ctx) interface{} {
+	return replyProg("h_upgack", MsgUPGACK, func(c *Ctx) uint32 {
 		return c.refillEffect(c.Line(), cache.Exclusive, int(c.Msg.Aux), true, false)
 	})
 }
 
 func buildNAK() *Program {
-	return replyProg("h_nak", MsgNAK, func(c *Ctx) interface{} {
-		return c.nakEffect(c.Line())
+	return replyProg("h_nak", MsgNAK, func(c *Ctx) uint32 {
+		return c.lineEffect(EffNak, c.Line())
 	})
 }
 
 func buildIACK() *Program {
-	return replyProg("h_iack", MsgIACK, func(c *Ctx) interface{} {
-		return c.iackEffect(c.Line())
+	return replyProg("h_iack", MsgIACK, func(c *Ctx) uint32 {
+		return c.lineEffect(EffIAck, c.Line())
 	})
 }
 
 func buildWBACK() *Program {
-	return replyProg("h_wback", MsgWBACK, func(c *Ctx) interface{} {
-		return c.wbackEffect(c.Line())
+	return replyProg("h_wback", MsgWBACK, func(c *Ctx) uint32 {
+		return c.lineEffect(EffWBAck, c.Line())
 	})
 }
 
@@ -582,8 +582,8 @@ func ProgramFor(t MsgType) *Program {
 }
 
 // Handle runs the handler for msg against env, returning the executed-path
-// instruction trace (with effects attached as payloads).
-func Handle(env Env, msg *network.Message) []isa.Instr {
-	c := &Ctx{Env: env, Msg: msg}
+// instruction trace. The trace's effects are issued into fx.
+func Handle(env Env, fx *EffectArena, msg *network.Message) []isa.Instr {
+	c := &Ctx{Env: env, Msg: msg, Effects: fx}
 	return ProgramFor(MsgType(msg.Type)).Execute(c)
 }

@@ -54,22 +54,36 @@ func (m *mockEnv) CacheDowngrade(l uint64) bool {
 	return was == cache.Modified
 }
 
-// effectsOf extracts all instruction payloads from a trace.
-func effectsOf(tr []isa.Instr) []interface{} {
-	var out []interface{}
+// testFx receives the effects of every trace the unit tests run; the tests
+// read them back by handle without firing them.
+var testFx = NewEffectArena()
+
+// handle runs the handler for m against env with effects issued into testFx.
+func handle(env Env, m *network.Message) []isa.Instr { return Handle(env, testFx, m) }
+
+// effectsOf extracts the effects a trace's instructions name.
+func effectsOf(tr []isa.Instr) []Effect {
+	var out []Effect
 	for i := range tr {
-		if tr[i].Payload != nil {
-			out = append(out, tr[i].Payload)
+		if tr[i].Effect != 0 {
+			out = append(out, *testFx.Get(tr[i].Effect))
 		}
 	}
 	return out
 }
 
-func sendsOf(tr []isa.Instr) []*SendEffect {
-	var out []*SendEffect
+// sent is a send effect as the tests inspect it.
+type sent struct {
+	Msg         *network.Message
+	NeedsMemory bool
+}
+
+func sendsOf(tr []isa.Instr) []sent {
+	var out []sent
 	for _, e := range effectsOf(tr) {
-		if s, ok := e.(*SendEffect); ok {
-			out = append(out, s)
+		if e.Kind == EffSend {
+			m := e.Msg
+			out = append(out, sent{Msg: &m, NeedsMemory: e.NeedsMemory})
 		}
 	}
 	return out
@@ -89,7 +103,7 @@ func netMsg(t MsgType, addr uint64, src, dst, req addrmap.NodeID, aux uint64) *n
 
 func TestTraceShape(t *testing.T) {
 	env := newMockEnv(0, 4)
-	tr := Handle(env, pi(MsgPIRead, pageAddr(0), 0))
+	tr := handle(env, pi(MsgPIRead, pageAddr(0), 0))
 	if len(tr) < 4 {
 		t.Fatalf("trace too short: %d", len(tr))
 	}
@@ -113,9 +127,9 @@ func TestTraceShape(t *testing.T) {
 
 func TestTracePCsStableAcrossExecutions(t *testing.T) {
 	env := newMockEnv(0, 4)
-	tr1 := Handle(env, pi(MsgPIRead, pageAddr(0), 0))
+	tr1 := handle(env, pi(MsgPIRead, pageAddr(0), 0))
 	env2 := newMockEnv(0, 4)
-	tr2 := Handle(env2, pi(MsgPIRead, pageAddr(0), 0))
+	tr2 := handle(env2, pi(MsgPIRead, pageAddr(0), 0))
 	if len(tr1) != len(tr2) {
 		t.Fatalf("same-state executions differ in length: %d vs %d", len(tr1), len(tr2))
 	}
@@ -129,14 +143,14 @@ func TestTracePCsStableAcrossExecutions(t *testing.T) {
 func TestLocalReadUnowned(t *testing.T) {
 	env := newMockEnv(0, 4)
 	addr := pageAddr(0)
-	tr := Handle(env, pi(MsgPIRead, addr, 0))
+	tr := handle(env, pi(MsgPIRead, addr, 0))
 	effs := effectsOf(tr)
 	if len(effs) != 1 {
 		t.Fatalf("want 1 effect, got %d", len(effs))
 	}
-	r, ok := effs[0].(*RefillEffect)
-	if !ok {
-		t.Fatalf("want RefillEffect, got %T", effs[0])
+	r := effs[0]
+	if r.Kind != EffRefill {
+		t.Fatalf("want a refill effect, got %+v", r)
 	}
 	if r.St != cache.Exclusive || r.Acks != 0 || !r.NeedsMemory {
 		t.Fatalf("eager-exclusive local refill wrong: %+v", r)
@@ -163,7 +177,7 @@ func TestLocalReadUnowned(t *testing.T) {
 func TestRemoteReadSendsGET(t *testing.T) {
 	env := newMockEnv(0, 4)
 	addr := pageAddr(2)
-	tr := Handle(env, pi(MsgPIRead, addr, 0))
+	tr := handle(env, pi(MsgPIRead, addr, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 {
 		t.Fatalf("want 1 send, got %d", len(sends))
@@ -181,7 +195,7 @@ func TestHomeGETShared(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.Shared, Sharers: 0b1000})
-	tr := Handle(env, netMsg(MsgGET, addr, 1, 2, 1, 0))
+	tr := handle(env, netMsg(MsgGET, addr, 1, 2, 1, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgPUT || sends[0].Msg.Dst != 1 {
 		t.Fatalf("want PUT to node 1, got %+v", sends)
@@ -199,7 +213,7 @@ func TestHomeGETDirtyForwards(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 3})
-	tr := Handle(env, netMsg(MsgGET, addr, 0, 2, 0, 0))
+	tr := handle(env, netMsg(MsgGET, addr, 0, 2, 0, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgISHARED || sends[0].Msg.Dst != 3 {
 		t.Fatalf("want ISHARED to owner 3, got %+v", sends)
@@ -217,7 +231,7 @@ func TestHomeGETBusyNaks(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.BusyExcl, Owner: 3, Pending: 1})
-	tr := Handle(env, netMsg(MsgGET, addr, 0, 2, 0, 0))
+	tr := handle(env, netMsg(MsgGET, addr, 0, 2, 0, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgNAK || sends[0].Msg.Dst != 0 {
 		t.Fatalf("busy line must NAK, got %+v", sends)
@@ -233,7 +247,7 @@ func TestHomeGETXSharedInvalidates(t *testing.T) {
 	addr := pageAddr(2)
 	// Sharers: 0, 1, 3 and the requester is 1 -> invals to 0 and 3.
 	env.dir.Store(addr, directory.Entry{State: directory.Shared, Sharers: 0b1011})
-	tr := Handle(env, netMsg(MsgGETX, addr, 1, 2, 1, 0))
+	tr := handle(env, netMsg(MsgGETX, addr, 1, 2, 1, 0))
 	sends := sendsOf(tr)
 	var putx *network.Message
 	var invals []addrmap.NodeID
@@ -262,7 +276,7 @@ func TestHomeGETXSharedLocalCopyInvalidatedInline(t *testing.T) {
 	addr := pageAddr(2)
 	env.l2[addr] = cache.Shared
 	env.dir.Store(addr, directory.Entry{State: directory.Shared, Sharers: 0b0110}) // nodes 1,2
-	tr := Handle(env, netMsg(MsgGETX, addr, 1, 2, 1, 0))
+	tr := handle(env, netMsg(MsgGETX, addr, 1, 2, 1, 0))
 	sends := sendsOf(tr)
 	for _, s := range sends {
 		if MsgType(s.Msg.Type) == MsgINVAL {
@@ -287,7 +301,7 @@ func TestHomeUpgradeGrantAndStaleNak(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.Shared, Sharers: 0b1010}) // 1 and 3
-	tr := Handle(env, netMsg(MsgUPGRADE, addr, 1, 2, 1, 0))
+	tr := handle(env, netMsg(MsgUPGRADE, addr, 1, 2, 1, 0))
 	sends := sendsOf(tr)
 	var upg *network.Message
 	var invals int
@@ -307,7 +321,7 @@ func TestHomeUpgradeGrantAndStaleNak(t *testing.T) {
 	}
 
 	// A second upgrade from node 3 (no longer a sharer) must NAK.
-	tr = Handle(env, netMsg(MsgUPGRADE, addr, 3, 2, 3, 0))
+	tr = handle(env, netMsg(MsgUPGRADE, addr, 3, 2, 3, 0))
 	sends = sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgNAK {
 		t.Fatalf("stale upgrade must NAK, got %+v", sends)
@@ -318,7 +332,7 @@ func TestWritebackNormal(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 3})
-	tr := Handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0))
+	tr := handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgWBACK || sends[0].Msg.Dst != 3 {
 		t.Fatalf("want WBACK to 3, got %+v", sends)
@@ -332,7 +346,7 @@ func TestWritebackRaceBusyShared(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.BusyShared, Owner: 3, Pending: 1})
-	tr := Handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0))
+	tr := handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0))
 	sends := sendsOf(tr)
 	var put, wback *network.Message
 	for _, s := range sends {
@@ -358,7 +372,7 @@ func TestWritebackRaceBusyExcl(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.BusyExcl, Owner: 3, Pending: 0})
-	tr := Handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0))
+	tr := handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0))
 	var putx *network.Message
 	for _, s := range sendsOf(tr) {
 		if MsgType(s.Msg.Type) == MsgPUTX {
@@ -377,7 +391,7 @@ func TestStaleWritebackJustAcked(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 1})
-	tr := Handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0)) // 3 is not the owner
+	tr := handle(env, netMsg(MsgWB, addr, 3, 2, 3, 0)) // 3 is not the owner
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgWBACK {
 		t.Fatalf("stale WB must only be acked: %+v", sends)
@@ -391,7 +405,7 @@ func TestInterventionSharedAtOwner(t *testing.T) {
 	env := newMockEnv(3, 4)
 	addr := pageAddr(2)
 	env.l2[addr] = cache.Modified
-	tr := Handle(env, netMsg(MsgISHARED, addr, 2, 3, 0, 0))
+	tr := handle(env, netMsg(MsgISHARED, addr, 2, 3, 0, 0))
 	sends := sendsOf(tr)
 	var put, shwb *network.Message
 	for _, s := range sends {
@@ -417,7 +431,7 @@ func TestInterventionExclAtOwner(t *testing.T) {
 	env := newMockEnv(3, 4)
 	addr := pageAddr(2)
 	env.l2[addr] = cache.Modified
-	tr := Handle(env, netMsg(MsgIEXCL, addr, 2, 3, 1, 0))
+	tr := handle(env, netMsg(MsgIEXCL, addr, 2, 3, 1, 0))
 	var putx, xfer *network.Message
 	for _, s := range sendsOf(tr) {
 		switch MsgType(s.Msg.Type) {
@@ -442,7 +456,7 @@ func TestInterventionMissSendsIVNAK(t *testing.T) {
 	env := newMockEnv(3, 4)
 	addr := pageAddr(2)
 	// Line not in cache: writeback race.
-	tr := Handle(env, netMsg(MsgISHARED, addr, 2, 3, 0, 0))
+	tr := handle(env, netMsg(MsgISHARED, addr, 2, 3, 0, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgIVNAK || sends[0].Msg.Dst != 2 {
 		t.Fatalf("absent line must IVNAK home: %+v", sends)
@@ -453,14 +467,14 @@ func TestSHWBCompletesBusy(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.BusyShared, Owner: 3, Pending: 0})
-	Handle(env, netMsg(MsgSHWB, addr, 3, 2, 0, 0))
+	handle(env, netMsg(MsgSHWB, addr, 3, 2, 0, 0))
 	e := env.dir.Load(addr)
 	if e.State != directory.Shared || !e.HasSharer(0) || !e.HasSharer(3) {
 		t.Fatalf("SHWB must leave Shared{0,3}: %+v", e)
 	}
 	// Stale SHWB (already resolved) is dropped.
 	env.dir.Store(addr, directory.Entry{State: directory.Unowned})
-	Handle(env, netMsg(MsgSHWB, addr, 3, 2, 0, 0))
+	handle(env, netMsg(MsgSHWB, addr, 3, 2, 0, 0))
 	if e := env.dir.Load(addr); e.State != directory.Unowned {
 		t.Fatal("stale SHWB must be dropped")
 	}
@@ -470,7 +484,7 @@ func TestXFERCompletesBusy(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.BusyExcl, Owner: 3, Pending: 1})
-	Handle(env, netMsg(MsgXFER, addr, 3, 2, 1, 0))
+	handle(env, netMsg(MsgXFER, addr, 3, 2, 1, 0))
 	e := env.dir.Load(addr)
 	if e.State != directory.Dirty || e.Owner != 1 {
 		t.Fatalf("XFER must leave Dirty(1): %+v", e)
@@ -481,7 +495,7 @@ func TestIVNAKCompletesFromMemory(t *testing.T) {
 	env := newMockEnv(2, 4)
 	addr := pageAddr(2)
 	env.dir.Store(addr, directory.Entry{State: directory.BusyShared, Owner: 3, Pending: 1})
-	tr := Handle(env, netMsg(MsgIVNAK, addr, 3, 2, 1, 0))
+	tr := handle(env, netMsg(MsgIVNAK, addr, 3, 2, 1, 0))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgPUT || sends[0].Msg.Dst != 1 {
 		t.Fatalf("IVNAK must complete pending read: %+v", sends)
@@ -500,26 +514,23 @@ func TestReplyHandlersProduceLocalEffects(t *testing.T) {
 	cases := []struct {
 		t   MsgType
 		aux uint64
-		chk func(interface{}) bool
+		chk func(Effect) bool
 	}{
-		{MsgPUT, 0, func(e interface{}) bool {
-			r, ok := e.(*RefillEffect)
-			return ok && r.St == cache.Shared && !r.Upgrade
+		{MsgPUT, 0, func(r Effect) bool {
+			return r.Kind == EffRefill && r.St == cache.Shared && !r.Upgrade
 		}},
-		{MsgPUTX, 3, func(e interface{}) bool {
-			r, ok := e.(*RefillEffect)
-			return ok && r.St == cache.Exclusive && r.Acks == 3
+		{MsgPUTX, 3, func(r Effect) bool {
+			return r.Kind == EffRefill && r.St == cache.Exclusive && r.Acks == 3
 		}},
-		{MsgUPGACK, 2, func(e interface{}) bool {
-			r, ok := e.(*RefillEffect)
-			return ok && r.Upgrade && r.Acks == 2
+		{MsgUPGACK, 2, func(r Effect) bool {
+			return r.Kind == EffRefill && r.Upgrade && r.Acks == 2
 		}},
-		{MsgNAK, 0, func(e interface{}) bool { _, ok := e.(*NakEffect); return ok }},
-		{MsgIACK, 0, func(e interface{}) bool { _, ok := e.(*IAckEffect); return ok }},
-		{MsgWBACK, 0, func(e interface{}) bool { _, ok := e.(*WBAckEffect); return ok }},
+		{MsgNAK, 0, func(e Effect) bool { return e.Kind == EffNak }},
+		{MsgIACK, 0, func(e Effect) bool { return e.Kind == EffIAck }},
+		{MsgWBACK, 0, func(e Effect) bool { return e.Kind == EffWBAck }},
 	}
 	for _, c := range cases {
-		tr := Handle(env, netMsg(c.t, addr, 2, 1, 1, c.aux))
+		tr := handle(env, netMsg(c.t, addr, 2, 1, 1, c.aux))
 		effs := effectsOf(tr)
 		if len(effs) != 1 || !c.chk(effs[0]) {
 			t.Fatalf("%v: bad effect %+v", c.t, effs)
@@ -580,21 +591,21 @@ func TestTwoNodeReadWriteWalk(t *testing.T) {
 	addr := uint64(0) // homed at node 0
 
 	// Node 1 read miss -> GET to home.
-	tr := Handle(reader, pi(MsgPIRead, addr, 1))
+	tr := handle(reader, pi(MsgPIRead, addr, 1))
 	sends := sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgGET {
 		t.Fatalf("expected GET, got %+v", sends)
 	}
 	// Home handles GET (unowned) -> eager-exclusive PUTX back to node 1.
-	tr = Handle(home, sends[0].Msg)
+	tr = handle(home, sends[0].Msg)
 	sends = sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgPUTX {
 		t.Fatalf("expected PUTX, got %+v", sends)
 	}
 	// Reader receives PUTX -> refill Exclusive; model the fill.
-	tr = Handle(reader, sends[0].Msg)
-	r := effectsOf(tr)[0].(*RefillEffect)
-	reader.l2[r.LineAddr] = r.St
+	tr = handle(reader, sends[0].Msg)
+	r := effectsOf(tr)[0]
+	reader.l2[r.Line] = r.St
 	if home.dir.Load(addr).State != directory.Dirty {
 		t.Fatal("home must track node 1 as owner")
 	}
@@ -603,13 +614,13 @@ func TestTwoNodeReadWriteWalk(t *testing.T) {
 	reader.l2[addr] = cache.Modified
 
 	// Now home itself wants to write: local PIWrite, dirty remote owner.
-	tr = Handle(home, pi(MsgPIWrite, addr, 0))
+	tr = handle(home, pi(MsgPIWrite, addr, 0))
 	sends = sendsOf(tr)
 	if len(sends) != 1 || MsgType(sends[0].Msg.Type) != MsgIEXCL || sends[0].Msg.Dst != 1 {
 		t.Fatalf("expected IEXCL to node 1, got %+v", sends)
 	}
 	// Owner handles the intervention: PUTX to requester (home), XFER to home.
-	tr = Handle(reader, sends[0].Msg)
+	tr = handle(reader, sends[0].Msg)
 	var putxMsg, xferMsg *network.Message
 	for _, s := range sendsOf(tr) {
 		switch MsgType(s.Msg.Type) {
@@ -626,13 +637,13 @@ func TestTwoNodeReadWriteWalk(t *testing.T) {
 		t.Fatal("old owner must lose the line")
 	}
 	// Home receives XFER -> Dirty(owner 0).
-	Handle(home, xferMsg)
+	handle(home, xferMsg)
 	if e := home.dir.Load(addr); e.State != directory.Dirty || e.Owner != 0 {
 		t.Fatalf("final directory: %+v, want Dirty(0)", e)
 	}
 	// Home receives the forwarded PUTX as a local refill.
-	tr = Handle(home, putxMsg)
-	if _, ok := effectsOf(tr)[0].(*RefillEffect); !ok {
+	tr = handle(home, putxMsg)
+	if effectsOf(tr)[0].Kind != EffRefill {
 		t.Fatal("home must refill from forwarded PUTX")
 	}
 }

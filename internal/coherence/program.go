@@ -42,38 +42,6 @@ type Env interface {
 	LocalMissOutstanding(lineAddr uint64) bool
 }
 
-// Effects attached to trace instructions. The glue fires them when the
-// carrying instruction completes (graduates on SMTp; retires on the PP).
-
-// SendEffect emits a protocol message. When NeedsMemory is set the message
-// carries line data read from local SDRAM and may not leave before the
-// fetch (initiated at dispatch) completes.
-type SendEffect struct {
-	Msg         *network.Message
-	NeedsMemory bool
-}
-
-// RefillEffect completes an outstanding local miss: fill the line into
-// L2/L1, wake MSHR waiters. Acks is the number of invalidation acks still
-// expected (eager-exclusive replies). Upgrade marks an ownership-only grant
-// (no data fill, just a state change).
-type RefillEffect struct {
-	LineAddr    uint64
-	St          cache.State
-	Acks        int
-	Upgrade     bool
-	NeedsMemory bool // data must come from a local SDRAM fetch
-}
-
-// NakEffect tells the requester's miss machinery to retry the transaction.
-type NakEffect struct{ LineAddr uint64 }
-
-// IAckEffect delivers one invalidation ack for the line.
-type IAckEffect struct{ LineAddr uint64 }
-
-// WBAckEffect completes an outstanding writeback.
-type WBAckEffect struct{ LineAddr uint64 }
-
 // Ctx is the per-dispatch handler execution context: the message being
 // handled plus semantic scratch state shared by the static programs'
 // closures. Dispatch units reuse one Ctx across handlers via Reset.
@@ -81,15 +49,10 @@ type Ctx struct {
 	Env Env
 	Msg *network.Message
 
-	// Pool, when set, supplies the messages the handler emits; the
-	// controller that owns the dispatch releases them at their sinks. A nil
-	// pool (tests, trace tooling) falls back to the heap.
-	Pool *network.Pool
-
-	// Effects, when set, supplies the effect payloads attached to trace
-	// instructions; the controller releases each one after firing it. Set
-	// once per dispatch unit and preserved across Reset.
-	Effects *EffectPool
+	// Effects receives the timed side effects (sends, refills, acks) the
+	// handler attaches to its trace instructions by handle. It belongs to
+	// the dispatch unit, not the dispatch, and is preserved across Reset.
+	Effects *EffectArena
 
 	// Scratch state written by actions and read by conditions.
 	E         directory.Entry // current directory entry
@@ -97,8 +60,6 @@ type Ctx struct {
 	cur       addrmap.NodeID  // current sharer in iteration
 	acks      int             // invalidation acks the requester must collect
 	wasDirty  bool
-	pendMsg   *network.Message // message staged by sendh, fired by senda
-	pendMem   bool
 
 	// Extension scratch (ReVive logging).
 	logNeeded bool
@@ -109,19 +70,10 @@ type Ctx struct {
 func (c *Ctx) Line() uint64 { return addrmap.LineAddr(c.Msg.Addr) }
 
 // Reset re-arms the context for a new dispatch, clearing all scratch state.
-// The effect pool belongs to the dispatch unit, not the dispatch, and is
+// The effect arena belongs to the dispatch unit, not the dispatch, and is
 // kept.
-func (c *Ctx) Reset(env Env, pool *network.Pool, msg *network.Message) {
-	*c = Ctx{Env: env, Pool: pool, Effects: c.Effects, Msg: msg}
-}
-
-// allocMsg draws an outgoing message from the dispatch pool, or from the
-// heap when executing outside a pooled dispatch path.
-func (c *Ctx) allocMsg() *network.Message {
-	if c.Pool != nil {
-		return c.Pool.Get()
-	}
-	return &network.Message{} //simlint:allow hotalloc -- pool-less Ctx: tests and trace tooling only
+func (c *Ctx) Reset(env Env, msg *network.Message) {
+	*c = Ctx{Env: env, Effects: c.Effects, Msg: msg}
 }
 
 // Protocol-thread register conventions (integer logical registers).
@@ -138,7 +90,7 @@ const (
 type condFn func(*Ctx) bool
 type addrFn func(*Ctx) uint64
 type actFn func(*Ctx)
-type effFn func(*Ctx) interface{}
+type effFn func(*Ctx) uint32
 
 // PInstr is one static protocol-code instruction.
 type PInstr struct {
@@ -151,7 +103,7 @@ type PInstr struct {
 	tgtLbl string // unresolved label during construction
 	Addr   addrFn // memory ops: effective address
 	Act    actFn  // semantic action executed when the interpreter passes
-	Eff    effFn  // effect payload attached to the emitted instruction
+	Eff    effFn  // issues the effect attached to the emitted instruction
 }
 
 // Program is one protocol handler's static code.
@@ -160,10 +112,6 @@ type Program struct {
 	Base uint64 // code address of slot 0
 	Code []PInstr
 }
-
-// maxTraceLen bounds interpreter output as a safety net against authoring
-// bugs (runaway loops).
-const maxTraceLen = 4096
 
 // Execute interprets the program against ctx, returning the executed-path
 // dynamic trace. Semantic actions run in program order; the final two
@@ -180,8 +128,8 @@ func (p *Program) ExecuteInto(c *Ctx, out []isa.Instr) []isa.Instr {
 	out = out[:0]
 	slot := 0
 	for slot < len(p.Code) {
-		if len(out) >= maxTraceLen {
-			panic(fmt.Sprintf("coherence: handler %s trace exceeds %d instructions", p.Name, maxTraceLen))
+		if len(out) >= isa.MaxTraceLen {
+			panic(fmt.Sprintf("coherence: handler %s trace exceeds %d instructions", p.Name, isa.MaxTraceLen))
 		}
 		pi := &p.Code[slot]
 		in := isa.Instr{
@@ -202,7 +150,7 @@ func (p *Program) ExecuteInto(c *Ctx, out []isa.Instr) []isa.Instr {
 			pi.Act(c)
 		}
 		if pi.Eff != nil {
-			in.Payload = pi.Eff(c)
+			in.Effect = pi.Eff(c)
 		}
 		if pi.Op == isa.OpBranch {
 			taken := pi.Cond(c)
@@ -289,15 +237,15 @@ func (b *progBuilder) act(dst, s1 isa.Reg, fn actFn) *progBuilder {
 }
 
 // send emits the uncached store pair implementing the send instruction; eff
-// runs when the second store (send.addr) completes and must return the
-// effect payload (normally a *SendEffect).
+// issues the effect fired when the second store (send.addr) completes
+// (normally an EffSend).
 func (b *progBuilder) send(eff effFn) *progBuilder {
 	b.emit(PInstr{Op: isa.OpSendHdr, Src1: rT1, Addr: mmioSendHdr})
 	return b.emit(PInstr{Op: isa.OpSendAddr, Src1: rT2, Addr: mmioSendAddr, Eff: eff})
 }
 
 // done finalizes the program: appends the switch/ldctxt pair and resolves
-// labels. The ldctxt carries no payload here; the dispatch glue links it to
+// labels. The ldctxt carries no effect; the dispatch glue links it to
 // handler completion.
 func (b *progBuilder) done() *Program {
 	b.emit(PInstr{Op: isa.OpSwitch, Dst: rHdr, Addr: mmioSwitch})

@@ -34,7 +34,7 @@ func TestReviveLogsFirstWritePerEpoch(t *testing.T) {
 	addr := pageAddr(2)
 
 	// First GETX on an unowned line: logged.
-	tr := tab.Handle(env, netMsg(MsgGETX, addr, 1, 2, 1, 0))
+	tr := tab.Handle(env, testFx, netMsg(MsgGETX, addr, 1, 2, 1, 0))
 	if l.Entries != 1 {
 		t.Fatalf("entries=%d, want 1", l.Entries)
 	}
@@ -52,7 +52,7 @@ func TestReviveLogsFirstWritePerEpoch(t *testing.T) {
 
 	// Writeback of the same line in the same epoch: already covered.
 	env.dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 1})
-	tab.Handle(env, netMsg(MsgWB, addr, 1, 2, 1, 0))
+	tab.Handle(env, testFx, netMsg(MsgWB, addr, 1, 2, 1, 0))
 	if l.Entries != 1 {
 		t.Fatalf("same-epoch writeback must not re-log; entries=%d", l.Entries)
 	}
@@ -60,7 +60,7 @@ func TestReviveLogsFirstWritePerEpoch(t *testing.T) {
 	// After a checkpoint the line is loggable again.
 	l.Checkpoint()
 	env.dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 1})
-	tab.Handle(env, netMsg(MsgWB, addr, 1, 2, 1, 0))
+	tab.Handle(env, testFx, netMsg(MsgWB, addr, 1, 2, 1, 0))
 	if l.Entries != 2 {
 		t.Fatalf("post-checkpoint writeback must log; entries=%d", l.Entries)
 	}
@@ -73,19 +73,19 @@ func TestReviveSkipsReadsAndRemoteNodes(t *testing.T) {
 	addr := pageAddr(2)
 
 	// Reads never log.
-	tab.Handle(env, netMsg(MsgGET, addr, 1, 2, 1, 0))
+	tab.Handle(env, testFx, netMsg(MsgGET, addr, 1, 2, 1, 0))
 	if l.Entries != 0 {
 		t.Fatal("GET must not log")
 	}
 	// A PIWrite at a non-home node must not log (it only forwards).
 	remoteEnv := newMockEnv(0, 4)
-	tab.Handle(remoteEnv, pi(MsgPIWrite, addr, 0))
+	tab.Handle(remoteEnv, testFx, pi(MsgPIWrite, addr, 0))
 	if l.Entries != 0 {
 		t.Fatal("non-home write must not log")
 	}
 	// Dirty-state GETX (ownership transfer) does not log: memory is stale.
 	env.dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 3})
-	tab.Handle(env, netMsg(MsgGETX, addr, 1, 2, 1, 0))
+	tab.Handle(env, testFx, netMsg(MsgGETX, addr, 1, 2, 1, 0))
 	if l.Entries != 0 {
 		t.Fatal("dirty-transfer must not log (memory already stale)")
 	}
@@ -104,8 +104,8 @@ func TestReviveSemanticsUnchanged(t *testing.T) {
 		netMsg(MsgUPGRADE, pageAddr(2)+256, 3, 2, 3, 0),
 	}
 	for _, m := range msgs {
-		trBase := Handle(base, cloneMsg(m))
-		trExt := tab.Handle(ext, cloneMsg(m))
+		trBase := handle(base, cloneMsg(m))
+		trExt := tab.Handle(ext, testFx, cloneMsg(m))
 		sb, se := sendsOf(trBase), sendsOf(trExt)
 		if len(sb) != len(se) {
 			t.Fatalf("%v: base sends %d, revive sends %d", MsgType(m.Type), len(sb), len(se))

@@ -10,22 +10,13 @@ import (
 	"smtpsim/internal/snapshot"
 )
 
-// Payload tags for the effect codec. Handler traces are the only producers
-// of instruction payloads, and these five effect types (plus nil) are the
-// complete set — the ReVive extension adds instructions, not payloads.
-const (
-	payNil uint8 = iota
-	paySend
-	payRefill
-	payNak
-	payIAck
-	payWBAck
-)
-
-// SaveInstr serializes one trace instruction including its effect payload.
+// SaveInstr serializes one trace instruction together with the effect its
+// handle names in a, by value: the handle itself never reaches the stream.
 // In-flight handler traces (queued on a backend, or captured inside
-// pipeline uops) round trip through this codec.
-func SaveInstr(e *snapshot.Encoder, in *isa.Instr) {
+// pipeline uops) round trip through this codec. The effect's kind is its
+// stream tag (0 = no effect), so the EffectKind numbering is part of the
+// snapshot format.
+func (a *EffectArena) SaveInstr(e *snapshot.Encoder, in *isa.Instr) {
 	e.U64(in.PC)
 	e.U8(uint8(in.Op))
 	e.U8(uint8(in.Dst))
@@ -37,38 +28,32 @@ func SaveInstr(e *snapshot.Encoder, in *isa.Instr) {
 	e.U64(in.Target)
 	e.U8(uint8(in.Flags))
 	e.U64(in.SyncTok)
-	switch p := in.Payload.(type) {
-	case nil:
-		e.U8(payNil)
-	case *SendEffect:
-		e.U8(paySend)
-		e.Bool(p.NeedsMemory)
-		network.SaveMessage(e, p.Msg)
-	case *RefillEffect:
-		e.U8(payRefill)
-		e.U64(p.LineAddr)
-		e.U8(uint8(p.St))
-		e.Int(p.Acks)
-		e.Bool(p.Upgrade)
-		e.Bool(p.NeedsMemory)
-	case *NakEffect:
-		e.U8(payNak)
-		e.U64(p.LineAddr)
-	case *IAckEffect:
-		e.U8(payIAck)
-		e.U64(p.LineAddr)
-	case *WBAckEffect:
-		e.U8(payWBAck)
-		e.U64(p.LineAddr)
+	if in.Effect == 0 {
+		e.U8(uint8(effFree))
+		return
+	}
+	f := a.Get(in.Effect)
+	e.U8(uint8(f.Kind))
+	switch f.Kind {
+	case EffSend:
+		e.Bool(f.NeedsMemory)
+		network.SaveMessage(e, &f.Msg)
+	case EffRefill:
+		e.U64(f.Line)
+		e.U8(uint8(f.St))
+		e.Int(f.Acks)
+		e.Bool(f.Upgrade)
+		e.Bool(f.NeedsMemory)
+	case EffNak, EffIAck, EffWBAck:
+		e.U64(f.Line)
 	default:
-		panic("coherence: unknown instruction payload")
+		panic("coherence: unknown effect kind")
 	}
 }
 
-// LoadInstr rebuilds an instruction saved by SaveInstr. Send payload
-// messages are drawn from pool; effect structs are heap-allocated — they
-// retire into the dispatch unit's effect pool like pooled ones.
-func LoadInstr(d *snapshot.Decoder, pool *network.Pool) isa.Instr {
+// LoadInstr rebuilds an instruction saved by SaveInstr, issuing its effect
+// (if any) into a under a fresh handle.
+func (a *EffectArena) LoadInstr(d *snapshot.Decoder) isa.Instr {
 	var in isa.Instr
 	in.PC = d.U64()
 	in.Op = isa.Op(d.U8())
@@ -81,51 +66,29 @@ func LoadInstr(d *snapshot.Decoder, pool *network.Pool) isa.Instr {
 	in.Target = d.U64()
 	in.Flags = isa.Flags(d.U8())
 	in.SyncTok = d.U64()
-	switch tag := d.U8(); tag {
-	case payNil:
-	case paySend:
-		needsMem := d.Bool()
-		in.Payload = &SendEffect{NeedsMemory: needsMem, Msg: network.LoadMessage(d, pool)}
-	case payRefill:
-		in.Payload = &RefillEffect{
-			LineAddr: d.U64(), St: cache.State(d.U8()), Acks: d.Int(),
-			Upgrade: d.Bool(), NeedsMemory: d.Bool(),
-		}
-	case payNak:
-		in.Payload = &NakEffect{LineAddr: d.U64()}
-	case payIAck:
-		in.Payload = &IAckEffect{LineAddr: d.U64()}
-	case payWBAck:
-		in.Payload = &WBAckEffect{LineAddr: d.U64()}
+	f := Effect{Kind: EffectKind(d.U8())}
+	switch f.Kind {
+	case effFree:
+		return in
+	case EffSend:
+		f.NeedsMemory = d.Bool()
+		network.DecodeMessage(d, &f.Msg)
+		f.Line = f.Msg.Addr
+	case EffRefill:
+		f.Line = d.U64()
+		f.St = cache.State(d.U8())
+		f.Acks = d.Int()
+		f.Upgrade = d.Bool()
+		f.NeedsMemory = d.Bool()
+	case EffNak, EffIAck, EffWBAck:
+		f.Line = d.U64()
 	default:
-		d.Fail("unknown payload tag %d", tag)
+		d.Fail("unknown effect kind %d", f.Kind)
+	}
+	if d.Err() == nil {
+		in.Effect = a.issue(f)
 	}
 	return in
-}
-
-// SaveTrace serializes a handler trace (nil-ness preserved).
-func SaveTrace(e *snapshot.Encoder, trace []isa.Instr) {
-	if trace == nil {
-		e.Int(-1)
-		return
-	}
-	e.Int(len(trace))
-	for i := range trace {
-		SaveInstr(e, &trace[i])
-	}
-}
-
-// LoadTrace rebuilds a trace saved by SaveTrace.
-func LoadTrace(d *snapshot.Decoder, pool *network.Pool) []isa.Instr {
-	n := d.Int()
-	if d.Err() != nil || n < 0 {
-		return nil
-	}
-	trace := make([]isa.Instr, 0, n)
-	for i := 0; i < n; i++ {
-		trace = append(trace, LoadInstr(d, pool))
-	}
-	return trace
 }
 
 // SaveState serializes the ReVive log: epoch, counters, and both maps as

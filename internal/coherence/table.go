@@ -43,17 +43,17 @@ func (t *Table) Replace(mt MsgType, p *Program) {
 }
 
 // Handle runs the table's handler for msg against env, returning the
-// executed-path instruction trace.
-func (t *Table) Handle(env Env, msg *network.Message) []isa.Instr {
-	c := &Ctx{Env: env, Msg: msg}
+// executed-path instruction trace. The trace's effects are issued into fx.
+func (t *Table) Handle(env Env, fx *EffectArena, msg *network.Message) []isa.Instr {
+	c := &Ctx{Env: env, Msg: msg, Effects: fx}
 	return t.Program(MsgType(msg.Type)).Execute(c)
 }
 
 // HandleInto is the dispatch-unit fast path: it reuses the caller's context
-// and appends the executed-path trace into buf, so a steady-state dispatch
-// allocates nothing. Emitted messages come from pool (when non-nil).
-func (t *Table) HandleInto(c *Ctx, env Env, pool *network.Pool, msg *network.Message, buf []isa.Instr) []isa.Instr {
+// (and the effect arena set on it) and appends the executed-path trace into
+// buf, so a steady-state dispatch allocates nothing.
+func (t *Table) HandleInto(c *Ctx, env Env, msg *network.Message, buf []isa.Instr) []isa.Instr {
 	msg.AssertLive("coherence.HandleInto")
-	c.Reset(env, pool, msg)
+	c.Reset(env, msg)
 	return t.Program(MsgType(msg.Type)).ExecuteInto(c, buf)
 }

@@ -178,29 +178,43 @@ const (
 	FlagScratchDead
 )
 
+// MaxTraceLen bounds one protocol handler's dynamic trace. The coherence
+// interpreter refuses to emit a longer one (a runaway handler loop), and
+// snapshot loaders reject a longer restored trace.
+const MaxTraceLen = 4096
+
 // Instr is one dynamic instruction. Instances are created by workload
 // generators and protocol-handler trace builders; the pipeline treats them
 // as immutable except for the fields it owns (sequence numbers and flags it
 // sets itself).
+//
+// Instr holds no pointers and is 48 bytes (the 8-byte fields first, then
+// the handle, then the bytes): application streams, handler trace buffers
+// and in-flight uops carry millions of them, and a pointer-free element
+// type keeps all of that memory out of the garbage collector's mark work.
+// Tests pin both properties.
 type Instr struct {
 	PC     uint64 // instruction address (drives I-cache, BTB, predictors)
-	Op     Op
-	Dst    Reg
-	Src1   Reg
-	Src2   Reg
 	Addr   uint64 // effective address for memory ops
-	Size   uint8  // access size in bytes for memory ops
-	Taken  bool   // resolved direction for branches
 	Target uint64 // branch target (when taken); fall-through is PC+4
-	Flags  Flags
 
 	// SyncTok identifies the synchronization event for OpSyncWait.
 	SyncTok uint64
 
-	// Payload carries a side effect fired when the instruction graduates:
-	// for OpSendAddr it is the outbound protocol message; for OpLdctxt it is
-	// handler-completion context. Interpreted by the node glue.
-	Payload interface{}
+	// Effect names a side effect fired when the instruction graduates: for
+	// OpSendAddr the outbound protocol message, on reply handlers the local
+	// refill or ack. It is a handle into the effect arena of the memory
+	// controller that dispatched the handler; 0 means no effect. Only
+	// handler traces set it.
+	Effect uint32
+
+	Op    Op
+	Dst   Reg
+	Src1  Reg
+	Src2  Reg
+	Size  uint8 // access size in bytes for memory ops
+	Taken bool  // resolved direction for branches
+	Flags Flags
 }
 
 // FallThrough returns the next sequential PC.

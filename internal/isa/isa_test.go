@@ -1,6 +1,10 @@
 package isa
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 func TestRegClasses(t *testing.T) {
 	if RegNone.Valid() {
@@ -103,5 +107,43 @@ func TestOpNames(t *testing.T) {
 	}
 	if Op(200).String() != "op?" {
 		t.Fatal("out-of-range op should stringify as op?")
+	}
+}
+
+// TestInstrLayout pins the instruction layout: no field may hold a pointer
+// (streams and trace buffers of Instr stay out of the collector's mark
+// work) and the struct stays 48 bytes.
+func TestInstrLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 48 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 48", n)
+	}
+	typ := reflect.TypeOf(Instr{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if hasPointers(f.Type) {
+			t.Errorf("Instr.%s (%v) holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t contains anything the
+// garbage collector must trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
 	}
 }

@@ -78,11 +78,11 @@ type MC struct {
 	queued     int // live messages across local+in (excludes in-transit slots)
 
 	// Allocation-free dispatch machinery: handled messages are released to
-	// the machine's pool, handler traces append into recycled buffers
-	// returned by the backend on completion, and the handler context is
-	// reused across dispatches.
+	// the machine's pool, handler effects live in a recycled arena, handler
+	// traces append into recycled buffers returned by the backend on
+	// completion, and the handler context is reused across dispatches.
 	pool      *network.Pool
-	effects   *coherence.EffectPool
+	effects   *coherence.EffectArena
 	traceFree [][]isa.Instr
 	fireFree  []*fire
 	hctx      coherence.Ctx
@@ -170,7 +170,7 @@ func New(cfg Config, eng *sim.Engine, env coherence.Env, node NodeIface, net net
 		node:     node,
 		net:      net,
 		pool:     pool,
-		effects:  coherence.NewEffectPool(),
+		effects:  coherence.NewEffectArena(),
 		table:    coherence.DefaultTable(),
 		memReads: newReadTable(cfg.MemReadTableCap),
 	}
@@ -394,7 +394,7 @@ func (mc *MC) dispatch(m *network.Message) {
 	if t == MsgWBType || t == MsgSHWBType || (t == MsgPIWritebackType && mc.env.HomeOf(m.Addr) == mc.env.NodeID()) {
 		mc.sdramWrite()
 	}
-	trace := mc.table.HandleInto(&mc.hctx, mc.env, mc.pool, m, mc.getTraceBuf())
+	trace := mc.table.HandleInto(&mc.hctx, mc.env, m, mc.getTraceBuf())
 	// The handler has run: its effects copied everything they need, so the
 	// dispatched message is dead here — the universal release point.
 	mc.pool.Put(m)
@@ -430,40 +430,31 @@ const (
 	MsgPIWritebackType = coherence.MsgPIWriteback
 )
 
-// FireEffect applies a trace instruction's payload. Called by the backend
-// when the carrying instruction completes (PP retire or SMTp graduation).
-// This is the single consumer of effect payloads: each one is copied into a
-// pooled fire record (or fired inline) and released back to the dispatch
-// unit's effect pool before the action runs.
-func (mc *MC) FireEffect(p interface{}) {
-	switch e := p.(type) {
-	case *coherence.SendEffect:
+// FireEffect fires the effect a trace instruction's handle names. Called
+// by the backend when the carrying instruction completes (PP retire or SMTp
+// graduation). This is the single consumer of effect handles: each one is
+// taken out of the dispatch unit's arena (freeing its slot) and copied into
+// a pooled fire record, or fired inline.
+func (mc *MC) FireEffect(h uint32) {
+	e := mc.effects.Take(h)
+	switch e.Kind {
+	case coherence.EffSend:
 		f := mc.getFire()
-		f.kind, f.msg = fireSend, e.Msg
-		needsMem, addr := e.NeedsMemory, e.Msg.Addr
-		mc.effects.PutSend(e)
-		mc.fireWhenReady(needsMem, addr, f)
-	case *coherence.RefillEffect:
+		f.kind, f.msg = fireSend, mc.pool.GetCopy(&e.Msg)
+		mc.fireWhenReady(e.NeedsMemory, e.Line, f)
+	case coherence.EffRefill:
 		f := mc.getFire()
 		f.kind, f.line, f.st, f.acks, f.upgrade, f.crossed =
-			fireRefill, e.LineAddr, e.St, e.Acks, e.Upgrade, false
-		needsMem := e.NeedsMemory
-		mc.effects.PutRefill(e)
-		mc.fireWhenReady(needsMem, f.line, f)
-	case *coherence.NakEffect:
-		line := e.LineAddr
-		mc.effects.PutNak(e)
-		mc.node.DeliverNak(line)
-	case *coherence.IAckEffect:
-		line := e.LineAddr
-		mc.effects.PutIAck(e)
-		mc.node.DeliverIAck(line)
-	case *coherence.WBAckEffect:
-		line := e.LineAddr
-		mc.effects.PutWBAck(e)
-		mc.node.DeliverWBAck(line)
+			fireRefill, e.Line, e.St, e.Acks, e.Upgrade, false
+		mc.fireWhenReady(e.NeedsMemory, e.Line, f)
+	case coherence.EffNak:
+		mc.node.DeliverNak(e.Line)
+	case coherence.EffIAck:
+		mc.node.DeliverIAck(e.Line)
+	case coherence.EffWBAck:
+		mc.node.DeliverWBAck(e.Line)
 	default:
-		panic("memctrl: unknown effect payload")
+		panic("memctrl: unknown effect kind")
 	}
 }
 

@@ -11,13 +11,14 @@ import (
 // itself, so retiring effects become visible in dispatch order.
 type PPBackend struct {
 	Engine *ppengine.Engine
+	mc     *MC
 	cur    []isa.Instr // trace being executed, recycled on completion
 }
 
 // NewPPBackend builds the backend; effects fire into the controller, and
 // the handler's trace buffer is recycled when the PP finishes it.
 func NewPPBackend(cfg ppengine.Config, mc *MC) *PPBackend {
-	b := &PPBackend{}
+	b := &PPBackend{mc: mc}
 	b.Engine = ppengine.New(cfg, mc.FireEffect, func() {
 		if b.cur != nil {
 			mc.ReleaseTrace(b.cur)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"smtpsim/internal/cache"
-	"smtpsim/internal/coherence"
 	"smtpsim/internal/isa"
 	"smtpsim/internal/network"
 	"smtpsim/internal/sim"
@@ -38,13 +37,15 @@ func (mc *MC) owner() int32 { return int32(mc.env.NodeID()) }
 // live path uses.
 func (mc *MC) Pool() *network.Pool { return mc.pool }
 
-// LoadInstr decodes a coherence-handler instruction, drawing send payloads
-// from this controller's message pool. It is the Decoder-side counterpart
-// of coherence.SaveInstr for every consumer that restores traces owned by
-// this controller (the node's PP backend, the pipeline's protocol thread).
-func (mc *MC) LoadInstr(d *snapshot.Decoder) isa.Instr {
-	return coherence.LoadInstr(d, mc.pool)
-}
+// SaveInstr encodes a coherence-handler instruction with the effect its
+// handle names in this controller's arena. Every owner of traces this
+// controller dispatched (the node's PP backend, the pipeline's protocol
+// thread) saves them through it.
+func (mc *MC) SaveInstr(e *snapshot.Encoder, in *isa.Instr) { mc.effects.SaveInstr(e, in) }
+
+// LoadInstr decodes an instruction saved by SaveInstr, issuing its effect
+// into this controller's arena under a fresh handle.
+func (mc *MC) LoadInstr(d *snapshot.Decoder) isa.Instr { return mc.effects.LoadInstr(d) }
 
 // deferredDesc describes a localDeferred event; the message is fully
 // encoded in the descriptor.
@@ -167,9 +168,11 @@ func (mc *MC) SaveState(e *snapshot.Encoder) {
 // LoadState restores state saved by SaveState. Queued messages are drawn
 // from the machine pool; the read table is rebuilt by insertion, which
 // yields an equivalent (lookup-identical) layout regardless of the saved
-// table's growth history.
+// table's growth history. The effect arena empties: the backends restored
+// after the controller re-issue the effects of their traces.
 func (mc *MC) LoadState(d *snapshot.Decoder) {
 	d.Expect("mc")
+	mc.effects.Reset()
 	mc.local = mc.local[:0]
 	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
 		if d.Bool() {
@@ -230,14 +233,12 @@ func loadPeak(d *snapshot.Decoder, p *stats.Peak) {
 // recycling alias to the in-flight trace (restored by re-aliasing the
 // engine's restored trace).
 func (b *PPBackend) SaveState(e *snapshot.Encoder) {
-	b.Engine.SaveState(e, coherence.SaveInstr)
+	b.Engine.SaveState(e, b.mc.SaveInstr)
 }
 
-// LoadState restores the backend; mc supplies the message pool for send
-// payloads inside the restored trace.
-func (b *PPBackend) LoadState(d *snapshot.Decoder, mc *MC) {
-	b.Engine.LoadState(d, func(dec *snapshot.Decoder) isa.Instr {
-		return coherence.LoadInstr(dec, mc.pool)
-	})
+// LoadState restores the backend; the trace's effects are re-issued into
+// the controller's arena.
+func (b *PPBackend) LoadState(d *snapshot.Decoder) {
+	b.Engine.LoadState(d, b.mc.LoadInstr)
 	b.cur = b.Engine.CurrentTrace()
 }

@@ -39,6 +39,16 @@ func (p *Pool) Get() *Message {
 	return &Message{} //simlint:allow hotalloc -- pool cold path: grows the free list once per high-water mark
 }
 
+// GetCopy returns a live pooled message carrying the contents of src, a
+// message held by value outside any pool (a fired send effect's).
+func (p *Pool) GetCopy(src *Message) *Message {
+	m := p.Get()
+	ps := m.poolState
+	*m = *src
+	m.poolState = ps
+	return m
+}
+
 // Put releases m to the pool. The caller must hold the only live reference;
 // under the poolcheck build tag the message is poisoned so a stale reference
 // fails loudly. Put(nil) is a no-op.

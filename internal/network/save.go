@@ -74,6 +74,10 @@ func (n *Network) RestoreDelivery(ep *Endpoint, at sim.Cycle, pos [3]uint64, seq
 	ep.eng.RestoreEvent(at, pos, seq, d, ep.deliveryFn(m))
 }
 
+// MessageBytes is the encoded size of one SaveMessage record: loaders size
+// message lists against it (snapshot.Decoder.Count).
+const MessageBytes = 3*8 + 2 + 2*8 + 8
+
 // SaveMessage serializes a message by value for snapshots of component
 // queues (the memory controllers' rings and parked-intervention lists).
 // The pool bookkeeping is not part of the message's identity.
@@ -92,6 +96,13 @@ func SaveMessage(e *snapshot.Encoder, m *Message) {
 // the given pool so restored messages recycle like live ones.
 func LoadMessage(d *snapshot.Decoder, pool *Pool) *Message {
 	m := pool.Get()
+	DecodeMessage(d, m)
+	return m
+}
+
+// DecodeMessage reads a message saved with SaveMessage into m (a message
+// held by value, or one already drawn from a pool).
+func DecodeMessage(d *snapshot.Decoder, m *Message) {
 	m.Src = addrmap.NodeID(d.Int())
 	m.Dst = addrmap.NodeID(d.Int())
 	m.Requester = addrmap.NodeID(d.Int())
@@ -100,7 +111,6 @@ func LoadMessage(d *snapshot.Decoder, pool *Pool) *Message {
 	m.Addr = d.U64()
 	m.Aux = d.U64()
 	m.DataBytes = d.Int()
-	return m
 }
 
 // CheckQuiesced verifies the network holds no state outside the engines'

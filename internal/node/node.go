@@ -213,7 +213,7 @@ func (d *downstream) IMiss(line uint64, dc sim.Desc, cb func()) {
 	d.eng.AfterDesc(d.imissCyc, dc, cb)
 }
 
-func (d *downstream) FireEffect(p interface{}) { d.MC.FireEffect(p) }
+func (d *downstream) FireEffect(h uint32) { d.MC.FireEffect(h) }
 
 // --- pipeline.SyncChecker ----------------------------------------------
 

@@ -11,6 +11,7 @@ import (
 	"smtpsim/internal/pipeline"
 	"smtpsim/internal/ppengine"
 	"smtpsim/internal/sim"
+	"smtpsim/internal/snapshot"
 )
 
 // The node package's protocol behaviour is exercised end-to-end by
@@ -149,5 +150,31 @@ func TestSMTpNodeHasNoPP(t *testing.T) {
 	n2, _, _ := buildNode(t, 0, 2, false)
 	if n2.PP == nil {
 		t.Fatal("non-SMTp node needs its protocol processor")
+	}
+}
+
+// TestLoadStateRejectsCorruptParkedCount: a parked-message count that is
+// negative or cannot fit in the stream is a decode error, never a panic or
+// an allocation sized from it.
+func TestLoadStateRejectsCorruptParkedCount(t *testing.T) {
+	for _, cnt := range []int{-1, 1 << 40, 1 << 60} {
+		e := snapshot.NewEncoder()
+		e.Mark("node")
+		e.Mark("mem")
+		e.Int(0)     // no slabs
+		e.U64(0)     // directory loads
+		e.U64(0)     // directory stores
+		e.Int(1)     // one parked line
+		e.U64(0x100) // its address
+		e.Int(cnt)   // its message count
+		d, err := snapshot.NewDecoder(e.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, _ := buildNode(t, 0, 2, true)
+		n.LoadState(d)
+		if d.Err() == nil {
+			t.Fatalf("LoadState accepted %d parked messages", cnt)
+		}
 	}
 }

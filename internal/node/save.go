@@ -3,7 +3,6 @@ package node
 import (
 	"sort"
 
-	"smtpsim/internal/coherence"
 	"smtpsim/internal/network"
 	"smtpsim/internal/snapshot"
 )
@@ -41,7 +40,7 @@ func (n *Node) SaveState(e *snapshot.Encoder) {
 	if n.PP != nil {
 		n.PP.SaveState(e)
 	}
-	n.Pipe.SaveState(e, coherence.SaveInstr)
+	n.Pipe.SaveState(e, n.MC.SaveInstr)
 }
 
 // LoadState restores state saved by SaveState into a node built from the
@@ -56,7 +55,7 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 	n.parked = make(map[uint64][]*network.Message)
 	for i, nl := 0, d.Int(); i < nl && d.Err() == nil; i++ {
 		line := d.U64()
-		cnt := d.Int()
+		cnt := d.Count(network.MessageBytes)
 		msgs := make([]*network.Message, 0, cnt)
 		for j := 0; j < cnt && d.Err() == nil; j++ {
 			msgs = append(msgs, network.LoadMessage(d, n.MC.Pool()))
@@ -71,7 +70,7 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 		return
 	}
 	if n.PP != nil {
-		n.PP.LoadState(d, n.MC)
+		n.PP.LoadState(d)
 	}
 	n.Pipe.LoadState(d, n.MC.LoadInstr)
 }

@@ -67,8 +67,8 @@ func (p *Pipeline) retire(u *uop, t *thread, now sim.Cycle) {
 	}
 	// Protocol-trace side effects (sends, refills, acks) fire when their
 	// carrying instruction graduates — in order and non-speculatively.
-	if u.in.Payload != nil && u.in.Op != isa.OpLdctxt {
-		p.down.FireEffect(u.in.Payload)
+	if u.in.Effect != 0 && u.in.Op != isa.OpLdctxt {
+		p.down.FireEffect(u.in.Effect)
 	}
 	if u.rdyDst >= 0 {
 		// Uncached loads (switch/ldctxt) produce their value at graduation.

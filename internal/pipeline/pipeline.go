@@ -105,8 +105,9 @@ type Downstream interface {
 	ProtocolMiss(line uint64, d sim.Desc, cb func())
 	// IMiss fills an application instruction line from local memory.
 	IMiss(line uint64, d sim.Desc, cb func())
-	// FireEffect applies a protocol-trace instruction payload (SMTp only).
-	FireEffect(payload interface{})
+	// FireEffect fires the effect a protocol-trace instruction's handle
+	// names (SMTp only).
+	FireEffect(effect uint32)
 }
 
 // SyncChecker resolves OpSyncWait instructions. Poll registers arrival on

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"smtpsim/internal/isa"
 	"smtpsim/internal/network"
 	"smtpsim/internal/sim"
+	"smtpsim/internal/snapshot"
 )
 
 // sliceSource feeds a fixed instruction slice.
@@ -33,7 +36,7 @@ type mockDown struct {
 	msgs  []*network.Message
 	auto  bool
 	delay sim.Cycle
-	fired []interface{}
+	fired []uint32
 }
 
 func (d *mockDown) EnqueueLocal(t uint8, line uint64) bool {
@@ -53,7 +56,7 @@ func (d *mockDown) EnqueueLocal(t uint8, line uint64) bool {
 }
 func (d *mockDown) ProtocolMiss(line uint64, dc sim.Desc, cb func()) { d.eng.After(d.delay, cb) }
 func (d *mockDown) IMiss(line uint64, dc sim.Desc, cb func())        { d.eng.After(d.delay, cb) }
-func (d *mockDown) FireEffect(p interface{})                         { d.fired = append(d.fired, p) }
+func (d *mockDown) FireEffect(h uint32)                              { d.fired = append(d.fired, h) }
 
 type alwaysSync struct{ ready bool }
 
@@ -463,14 +466,14 @@ func TestReservedDecodeSlotKeepsProtocolFetchable(t *testing.T) {
 }
 
 // protoTrace builds a synthetic handler trace ending in switch+ldctxt.
-func protoTrace(base uint64, payload interface{}, nALU int) []isa.Instr {
+func protoTrace(base uint64, effect uint32, nALU int) []isa.Instr {
 	var tr []isa.Instr
 	for i := 0; i < nALU; i++ {
 		tr = append(tr, isa.Instr{Op: isa.OpIntALU, Dst: isa.Reg(3 + i%4), Src1: 1})
 	}
 	tr = append(tr,
 		isa.Instr{Op: isa.OpSendHdr, Src1: 4, Addr: 1 << 42, Size: 8},
-		isa.Instr{Op: isa.OpSendAddr, Src1: 5, Addr: (1 << 42) + 8, Size: 8, Payload: payload},
+		isa.Instr{Op: isa.OpSendAddr, Src1: 5, Addr: (1 << 42) + 8, Size: 8, Effect: effect},
 		isa.Instr{Op: isa.OpSwitch, Dst: 1, Addr: 1 << 42, Size: 8},
 		isa.Instr{Op: isa.OpLdctxt, Dst: 2, Addr: (1 << 42) + 8, Size: 8, Flags: isa.FlagLastInHandler},
 	)
@@ -488,9 +491,9 @@ func TestProtocolThreadExecutesHandler(t *testing.T) {
 	if !b.CanAccept() {
 		t.Fatal("idle protocol thread must accept a handler")
 	}
-	b.Start(protoTrace(1<<41, "effect-1", 4))
+	b.Start(protoTrace(1<<41, 1, 4))
 	r.run(400)
-	if len(r.down.fired) != 1 || r.down.fired[0] != "effect-1" {
+	if len(r.down.fired) != 1 || r.down.fired[0] != 1 {
 		t.Fatalf("send effect must fire at graduation: %v", r.down.fired)
 	}
 	// The handler's switch now blocks: ldctxt not yet graduated, queue len 1.
@@ -501,7 +504,7 @@ func TestProtocolThreadExecutesHandler(t *testing.T) {
 		t.Fatal("dispatch must accept one more (the pending request)")
 	}
 	// Dispatch the next handler: switch unblocks, first handler graduates.
-	b.Start(protoTrace((1<<41)+0x400, "effect-2", 2))
+	b.Start(protoTrace((1<<41)+0x400, 2, 2))
 	r.run(400)
 	if len(r.down.fired) != 2 {
 		t.Fatalf("second handler's effect must fire: %v", r.down.fired)
@@ -521,7 +524,7 @@ func TestProtocolOccupancySampling(t *testing.T) {
 	r := newRig(1, true)
 	r.p.SetSource(0, &sliceSource{ins: nil})
 	b := r.p.Backend()
-	b.Start(protoTrace(1<<41, nil, 8))
+	b.Start(protoTrace(1<<41, 0, 8))
 	r.run(400) // cold protocol I-miss plus execution, then parked on switch
 	if r.p.ProtoActiveCyc == 0 {
 		t.Fatal("protocol thread must have been active")
@@ -602,4 +605,58 @@ func TestAppDoneRequiresDrain(t *testing.T) {
 		t.Fatal("AppDone with unfetched work must be false")
 	}
 	r.runUntilDone(t, 500)
+}
+
+// TestLoadStateRejectsCorruptHandlerTrace: a queued handler trace longer
+// than any handler can emit is a decode error, never an allocation sized
+// from the saved length.
+func TestLoadStateRejectsCorruptHandlerTrace(t *testing.T) {
+	saveInstr := func(e *snapshot.Encoder, in *isa.Instr) {
+		e.U64(in.PC)
+		e.U8(uint8(in.Op))
+		e.U8(uint8(in.Flags))
+	}
+	loadInstr := func(d *snapshot.Decoder) isa.Instr {
+		return isa.Instr{PC: d.U64(), Op: isa.Op(d.U8()), Flags: isa.Flags(d.U8())}
+	}
+	r := newRig(1, true)
+	tr := protoTrace(1<<41, 0, 3)
+	r.p.Backend().Start(tr)
+	e := snapshot.NewEncoder()
+	r.p.SaveState(e, saveInstr)
+	b := e.Finish()
+
+	// The protocol section opens with: present, one queued handler, its
+	// length, its fetch cursor.
+	var pat []byte
+	pat = append(pat, 1)
+	for _, v := range []uint64{1, uint64(len(tr)), 0} {
+		pat = binary.LittleEndian.AppendUint64(pat, v)
+	}
+	at := bytes.Index(b, pat)
+	if at < 0 || bytes.Index(b[at+1:], pat) >= 0 {
+		t.Fatal("cannot locate the handler-queue header in the saved state")
+	}
+	for _, n := range []uint64{isa.MaxTraceLen + 1, 1 << 40, 1 << 60} {
+		bad := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint64(bad[at+9:], n)
+		d, err := snapshot.NewDecoder(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newRig(1, true).p.LoadState(d, loadInstr)
+		if d.Err() == nil {
+			t.Fatalf("LoadState accepted a %d-instruction handler trace", n)
+		}
+	}
+
+	// The uncorrupted state restores.
+	d, err := snapshot.NewDecoder(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRig(1, true).p.LoadState(d, loadInstr)
+	if err := d.Err(); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
 }

@@ -431,9 +431,9 @@ func loadPeak(d *snapshot.Decoder, p *stats.Peak) {
 }
 
 // SaveState serializes the core's complete microarchitectural state.
-// saveInstr encodes one instruction including its protocol-effect payload
-// (the owner passes coherence.SaveInstr; the pipeline stays payload-
-// agnostic). Scratch buffers and free pools are not state: they restore
+// saveInstr encodes one instruction including the protocol effect its
+// handle names (the owner passes its memory controller's SaveInstr; the
+// pipeline stays effect-agnostic). Scratch buffers and free pools are not state: they restore
 // empty.
 func (p *Pipeline) SaveState(e *snapshot.Encoder, saveInstr func(*snapshot.Encoder, *isa.Instr)) {
 	e.Mark("pipe")
@@ -560,8 +560,8 @@ func (p *Pipeline) SaveState(e *snapshot.Encoder, saveInstr func(*snapshot.Encod
 		e.Int(ps.qlen)
 		for i := 0; i < ps.qlen; i++ {
 			// Save only the unfetched tail: entries before fetchIdx were
-			// already copied into uops and their fired effect payloads are
-			// recycled (dangling), while fetchIdx itself never rewinds.
+			// already copied into uops (whose saved instructions carry the
+			// effects), while fetchIdx itself never rewinds.
 			r := &ps.queue[i]
 			e.Int(len(r.trace))
 			e.Int(r.fetchIdx)
@@ -746,11 +746,16 @@ func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decod
 		ps.queue[0] = handlerRun{}
 		ps.queue[1] = handlerRun{}
 		ps.qlen = d.Int()
+		if d.Err() == nil && (ps.qlen < 0 || ps.qlen > len(ps.queue)) {
+			d.Fail("protocol handler queue holds %d handlers, want 0..%d", ps.qlen, len(ps.queue))
+			ps.qlen = 0
+			return
+		}
 		for i := 0; i < ps.qlen && d.Err() == nil; i++ {
 			n := d.Int()
 			idx := d.Int()
-			if d.Err() != nil || idx < 0 || idx > n {
-				d.Fail("handler run fetchIdx %d out of range 0..%d", idx, n)
+			if d.Err() != nil || idx < 0 || idx > n || n > isa.MaxTraceLen {
+				d.Fail("handler run fetchIdx %d / length %d out of range (fetchIdx <= length <= %d)", idx, n, isa.MaxTraceLen)
 				return
 			}
 			// Already-fetched entries round trip as zero instructions; only

@@ -72,7 +72,7 @@ type Engine struct {
 	pc    int
 	stall int
 
-	fire func(payload interface{})
+	fire func(effect uint32)
 	done func()
 
 	// Statistics.
@@ -82,10 +82,10 @@ type Engine struct {
 	TakenBranches uint64
 }
 
-// New builds an engine. fire is invoked for each instruction payload
-// (sends, refills) as the instruction completes; done is invoked when a
-// handler's trailing ldctxt completes.
-func New(cfg Config, fire func(interface{}), done func()) *Engine {
+// New builds an engine. fire is invoked with each instruction's effect
+// handle (sends, refills) as the instruction completes; done is invoked
+// when a handler's trailing ldctxt completes.
+func New(cfg Config, fire func(uint32), done func()) *Engine {
 	e := &Engine{cfg: cfg, fire: fire, done: done}
 	if cfg.DirCacheBytes > 0 {
 		e.dir = newDM(cfg.DirCacheBytes, cfg.LineBytes)
@@ -209,8 +209,8 @@ func (e *Engine) Tick(now sim.Cycle) {
 
 func (e *Engine) retire(in *isa.Instr) {
 	e.Retired++
-	if in.Payload != nil {
-		e.fire(in.Payload)
+	if in.Effect != 0 {
+		e.fire(in.Effect)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"smtpsim/internal/addrmap"
 	"smtpsim/internal/isa"
+	"smtpsim/internal/snapshot"
 )
 
 func run(e *Engine, max int) int {
@@ -22,7 +23,7 @@ func alu(pc uint64, dst, src isa.Reg) isa.Instr {
 
 func TestDualIssueIndependentOps(t *testing.T) {
 	var done bool
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(interface{}) {}, func() { done = true })
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() { done = true })
 	// Four independent ALU ops: two cycles.
 	tr := []isa.Instr{
 		alu(0, 1, 0), alu(4, 2, 0), alu(8, 3, 0), alu(12, 4, 0),
@@ -38,7 +39,7 @@ func TestDualIssueIndependentOps(t *testing.T) {
 }
 
 func TestDependenceBreaksPair(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(interface{}) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
 	// r2 = f(r1) depends on r1 = f(r0): serializes.
 	tr := []isa.Instr{alu(0, 1, 0), alu(4, 2, 1)}
 	e.Start(tr)
@@ -48,7 +49,7 @@ func TestDependenceBreaksPair(t *testing.T) {
 }
 
 func TestOneMemOpPerCycle(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(interface{}) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
 	tr := []isa.Instr{
 		{PC: 0, Op: isa.OpLoad, Dst: 1, Addr: 100},
 		{PC: 4, Op: isa.OpLoad, Dst: 2, Addr: 200},
@@ -60,7 +61,7 @@ func TestOneMemOpPerCycle(t *testing.T) {
 }
 
 func TestTakenBranchBubble(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(interface{}) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
 	tr := []isa.Instr{
 		{PC: 0, Op: isa.OpBranch, Taken: true, Target: 16},
 		alu(16, 1, 0),
@@ -76,7 +77,7 @@ func TestTakenBranchBubble(t *testing.T) {
 
 func TestDirectoryCacheMissStalls(t *testing.T) {
 	dirAddr := addrmap.DirBase + 0x40
-	cold := New(DefaultConfig(512*1024, 10), func(interface{}) {}, func() {})
+	cold := New(DefaultConfig(512*1024, 10), func(uint32) {}, func() {})
 	tr := []isa.Instr{{PC: 0, Op: isa.OpLoad, Dst: 1, Addr: dirAddr}}
 	cold.Start(tr)
 	coldCycles := run(cold, 1000)
@@ -93,7 +94,7 @@ func TestDirectoryCacheMissStalls(t *testing.T) {
 }
 
 func TestPerfectDirectoryCacheNeverMisses(t *testing.T) {
-	e := New(DefaultConfig(0, 10), func(interface{}) {}, func() {})
+	e := New(DefaultConfig(0, 10), func(uint32) {}, func() {})
 	for i := 0; i < 10; i++ {
 		e.Start([]isa.Instr{{PC: 0, Op: isa.OpLoad, Dst: 1, Addr: addrmap.DirBase + uint64(i)*64*1024}})
 		run(e, 1000)
@@ -110,7 +111,7 @@ func TestPerfectDirectoryCacheNeverMisses(t *testing.T) {
 }
 
 func TestICacheMissCharged(t *testing.T) {
-	e := New(DefaultConfig(0, 10), func(interface{}) {}, func() {})
+	e := New(DefaultConfig(0, 10), func(uint32) {}, func() {})
 	e.Start([]isa.Instr{alu(addrmap.CodeBase, 1, 0)})
 	c1 := run(e, 1000)
 	e.Start([]isa.Instr{alu(addrmap.CodeBase, 1, 0)})
@@ -124,14 +125,14 @@ func TestICacheMissCharged(t *testing.T) {
 }
 
 func TestEffectsFireInOrder(t *testing.T) {
-	var fired []int
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(p interface{}) {
-		fired = append(fired, p.(int))
+	var fired []uint32
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(h uint32) {
+		fired = append(fired, h)
 	}, func() {})
 	tr := []isa.Instr{
-		{PC: 0, Op: isa.OpIntALU, Dst: 1, Payload: 1},
-		{PC: 4, Op: isa.OpIntALU, Dst: 2, Payload: 2},
-		{PC: 8, Op: isa.OpIntALU, Dst: 3, Payload: 3},
+		{PC: 0, Op: isa.OpIntALU, Dst: 1, Effect: 1},
+		{PC: 4, Op: isa.OpIntALU, Dst: 2, Effect: 2},
+		{PC: 8, Op: isa.OpIntALU, Dst: 3, Effect: 3},
 	}
 	e.Start(tr)
 	run(e, 100)
@@ -141,7 +142,7 @@ func TestEffectsFireInOrder(t *testing.T) {
 }
 
 func TestStartWhileBusyRejected(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(interface{}) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
 	e.Start([]isa.Instr{alu(0, 1, 0)})
 	if e.Start([]isa.Instr{alu(0, 1, 0)}) {
 		t.Fatal("Start while busy must fail")
@@ -149,7 +150,7 @@ func TestStartWhileBusyRejected(t *testing.T) {
 }
 
 func TestBusyCyclesAccumulate(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(interface{}) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
 	e.Start([]isa.Instr{alu(0, 1, 0), alu(4, 2, 1)})
 	run(e, 100)
 	if e.BusyCycles != 2 || e.Retired != 2 || e.Handlers != 1 {
@@ -166,7 +167,7 @@ func TestSmallDirCacheMissesMore(t *testing.T) {
 	// Same access stream; the 64KB cache must miss at least as often as the
 	// 512KB one (this is the Int64KB-vs-Int512KB effect).
 	mk := func(bytes int) *Engine {
-		return New(DefaultConfig(bytes, 10), func(interface{}) {}, func() {})
+		return New(DefaultConfig(bytes, 10), func(uint32) {}, func() {})
 	}
 	big, small := mk(512*1024), mk(64*1024)
 	// Touch 2048 distinct directory lines, then re-touch them.
@@ -185,5 +186,32 @@ func TestSmallDirCacheMissesMore(t *testing.T) {
 	}
 	if big.DirMisses() != 2048 { // only cold misses: 128KB of entries fit in 512KB
 		t.Fatalf("512KB cache should only cold-miss: %d", big.DirMisses())
+	}
+}
+
+// TestLoadStateRejectsCorruptTraceLength: a restored trace longer than any
+// handler can emit is a decode error, never an allocation sized from it.
+func TestLoadStateRejectsCorruptTraceLength(t *testing.T) {
+	loadInstr := func(d *snapshot.Decoder) isa.Instr { return isa.Instr{PC: d.U64()} }
+	for _, n := range []int{isa.MaxTraceLen + 1, 1 << 40, 1 << 60} {
+		enc := snapshot.NewEncoder()
+		enc.Mark("ppeng")
+		for i := 0; i < 4; i++ {
+			enc.U64(0) // counters
+		}
+		enc.Bool(false) // no directory cache
+		enc.Bool(false) // no instruction cache
+		enc.Int(n)      // trace length
+		enc.Int(0)      // pc
+		enc.U64(0)      // one instruction
+		d, err := snapshot.NewDecoder(enc.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(Config{LineBytes: 64}, func(uint32) {}, func() {})
+		e.LoadState(d, loadInstr)
+		if d.Err() == nil {
+			t.Fatalf("LoadState accepted a %d-instruction trace", n)
+		}
 	}
 }

@@ -29,9 +29,9 @@ func (c *dmCache) loadState(d *snapshot.Decoder) {
 }
 
 // SaveState serializes the protocol processor: cache tag arrays, counters,
-// and the in-flight handler trace with its cursor. Trace instructions carry
-// effect payloads this package treats opaquely; saveInstr encodes them (the
-// memory controller supplies the coherence codec).
+// and the in-flight handler trace with its cursor. Trace instructions name
+// their effects by handle; saveInstr encodes each with its effect (the
+// memory controller that owns the effect arena supplies it).
 func (e *Engine) SaveState(enc *snapshot.Encoder, saveInstr func(*snapshot.Encoder, *isa.Instr)) {
 	enc.Mark("ppeng")
 	enc.U64(e.BusyCycles)
@@ -51,9 +51,8 @@ func (e *Engine) SaveState(enc *snapshot.Encoder, saveInstr func(*snapshot.Encod
 		return
 	}
 	// Save only the unretired tail: entries before pc already fired their
-	// effect payloads, which were recycled into the dispatch pool (the
-	// stale pointers must not be followed). pc never rewinds — handler
-	// branches are skips encoded as stalls, not backward jumps.
+	// effects, whose handles are dead. pc never rewinds — handler branches
+	// are skips encoded as stalls, not backward jumps.
 	enc.Int(len(e.trace))
 	enc.Int(e.pc)
 	for i := e.pc; i < len(e.trace); i++ {
@@ -94,8 +93,8 @@ func (e *Engine) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 		return
 	}
 	pc := d.Int()
-	if d.Err() != nil || pc < 0 || pc > n {
-		d.Fail("pp trace pc %d out of range 0..%d", pc, n)
+	if d.Err() != nil || pc < 0 || pc > n || n > isa.MaxTraceLen {
+		d.Fail("pp trace pc %d / length %d out of range (pc <= length <= %d)", pc, n, isa.MaxTraceLen)
 		return
 	}
 	// Already-retired entries round trip as zero instructions; only

@@ -194,6 +194,24 @@ func (d *Decoder) Int() int { return int(d.I64()) }
 // Bool reads a bool.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
+// Count reads an item count written with Int. A count that is negative, or
+// whose items cannot fit in the rest of the stream at minItemBytes encoded
+// bytes each, fails the decoder and reads as 0, so a loader may size an
+// allocation from the result: a corrupt count is a decode error, never an
+// out-of-memory abort.
+func (d *Decoder) Count(minItemBytes int) int {
+	n := d.Int()
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || (minItemBytes > 0 && n > (len(d.buf)-d.off)/minItemBytes) {
+		d.fail("count %d does not fit the remaining %d bytes at %d bytes per item",
+			n, len(d.buf)-d.off, minItemBytes)
+		return 0
+	}
+	return n
+}
+
 // Bytes reads a length-prefixed byte string.
 func (d *Decoder) Bytes() []byte {
 	n := d.U64()

@@ -21,8 +21,9 @@ func buildFFT(p Params) *Workload {
 	w.Barriers = append(w.Barriers, BarrierDef{Obj: 1, N: p.Threads})
 
 	pointsPerLine := lineSize / bytesPerPoint // 8
+	var scratch []isa.Instr
 	for g := 0; g < p.Threads; g++ {
-		gn := newGen(p, g)
+		gn := newGen(p, g, scratch)
 		lo, hi := partition(points, p.Threads, g)
 		myLines := (hi - lo) / pointsPerLine
 
@@ -66,7 +67,7 @@ func buildFFT(p Params) *Workload {
 			}
 			gn.barrier(1)
 		}
-		w.Streams = append(w.Streams, gn.ins)
+		scratch = gn.finish(w)
 	}
 	return w
 }
@@ -85,8 +86,9 @@ func buildFFTW(p Params) *Workload {
 	w.Barriers = append(w.Barriers, BarrierDef{Obj: 1, N: p.Threads})
 
 	pointsPerLine := lineSize / bytesPerPoint
+	var scratch []isa.Instr
 	for g := 0; g < p.Threads; g++ {
-		gn := newGen(p, g)
+		gn := newGen(p, g, scratch)
 		lo, hi := partition(points, p.Threads, g)
 		myLines := maxInt((hi-lo)/pointsPerLine, 1)
 
@@ -124,7 +126,7 @@ func buildFFTW(p Params) *Workload {
 			}
 			gn.barrier(1)
 		}
-		w.Streams = append(w.Streams, gn.ins)
+		scratch = gn.finish(w)
 	}
 	return w
 }
@@ -155,8 +157,9 @@ func buildLU(p Params) *Workload {
 	}
 	linesPerBlock := blockBytes / lineSize // 16
 
+	var scratch []isa.Instr
 	for g := 0; g < p.Threads; g++ {
-		gn := newGen(p, g)
+		gn := newGen(p, g, scratch)
 		myLo, myHi := partition(totalBlocks, p.Threads, g)
 		for k := 0; k < steps; k++ {
 			diagBlock := k % totalBlocks
@@ -189,7 +192,7 @@ func buildLU(p Params) *Workload {
 			}
 			gn.barrier(1)
 		}
-		w.Streams = append(w.Streams, gn.ins)
+		scratch = gn.finish(w)
 	}
 	return w
 }
@@ -214,8 +217,9 @@ func buildOcean(p Params) *Workload {
 	iters := scaleInt(4, p.Scale, 2)
 	linesPerRow := rowBytes / lineSize
 
+	var scratch []isa.Instr
 	for g := 0; g < p.Threads; g++ {
-		gn := newGen(p, g)
+		gn := newGen(p, g, scratch)
 		lo, hi := partition(rows, p.Threads, g)
 		for it := 0; it < iters; it++ {
 			for r := lo; r < hi; r++ {
@@ -243,7 +247,7 @@ func buildOcean(p Params) *Workload {
 			gn.lockRelease(7, errLock)
 			gn.barrier(1)
 		}
-		w.Streams = append(w.Streams, gn.ins)
+		scratch = gn.finish(w)
 	}
 	return w
 }
@@ -264,8 +268,9 @@ func buildRadix(p Params) *Workload {
 	placeBlocked(w, regionC, histBytes, p.Threads, p)
 
 	keysPerLine := lineSize / keyBytes
+	var scratch []isa.Instr
 	for g := 0; g < p.Threads; g++ {
-		gn := newGen(p, g)
+		gn := newGen(p, g, scratch)
 		lo, hi := partition(keys, p.Threads, g)
 		myLines := maxInt((hi-lo)/keysPerLine, 1)
 		for pass := 0; pass < 2; pass++ {
@@ -305,7 +310,7 @@ func buildRadix(p Params) *Workload {
 			})
 			gn.barrier(1)
 		}
-		w.Streams = append(w.Streams, gn.ins)
+		scratch = gn.finish(w)
 	}
 	return w
 }
@@ -325,8 +330,9 @@ func buildWater(p Params) *Workload {
 
 	steps := scaleInt(3, p.Scale, 2)
 	molAddr := func(i int) uint64 { return regionA + uint64(i)*uint64(molBytes) }
+	var scratch []isa.Instr
 	for g := 0; g < p.Threads; g++ {
-		gn := newGen(p, g)
+		gn := newGen(p, g, scratch)
 		lo, hi := partition(molecules, p.Threads, g)
 		for s := 0; s < steps; s++ {
 			// Pairwise forces: each of my molecules against a sample of
@@ -367,7 +373,7 @@ func buildWater(p Params) *Workload {
 			}
 			gn.barrier(1)
 		}
-		w.Streams = append(w.Streams, gn.ins)
+		scratch = gn.finish(w)
 	}
 	return w
 }

@@ -241,10 +241,13 @@ type gen struct {
 	lockSeq uint64
 }
 
-func newGen(p Params, gtid int) *gen {
+// newGen starts thread gtid's generator, appending into scratch (reused
+// across the threads of one Build; see finish).
+func newGen(p Params, gtid int, scratch []isa.Instr) *gen {
 	return &gen{
 		p:    p,
 		gtid: gtid,
+		ins:  scratch[:0],
 		// Stagger thread code so same-offset loop bodies do not alias in
 		// the I-cache sets (threads of a real program share one text
 		// segment; synthetic per-thread copies must not all map to set 0).
@@ -252,6 +255,17 @@ func newGen(p Params, gtid int) *gen {
 		rng:    sim.NewRand(p.Seed*1000003 + uint64(gtid)*7919 + uint64(p.App)),
 		barSeq: make(map[uint64]uint64),
 	}
+}
+
+// finish appends the thread's stream to w as an exact-length copy and
+// returns the scratch buffer for the next thread's generator: a Build grows
+// one buffer to its longest stream instead of every stream growing by
+// doubling, and each stream holds no spare capacity for the run.
+func (g *gen) finish(w *Workload) []isa.Instr {
+	s := make([]isa.Instr, len(g.ins))
+	copy(s, g.ins)
+	w.Streams = append(w.Streams, s)
+	return g.ins[:0]
 }
 
 func (g *gen) emit(in isa.Instr) {
