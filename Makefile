@@ -2,18 +2,18 @@
 # formatting, vet, the simlint static-analysis suite, build, the
 # unit/integration suite, the hot packages again with poolcheck message
 # poisoning, the whole suite again under the race detector, the METRICS.md
-# schema freshness, one iteration of two root benchmarks and of the
-# per-layer microbenchmarks (`make bench-smoke`), an end-to-end smoke of
-# the simulation service (`make serve-smoke`), a sharded-execution smoke
-# (`make shard-smoke`), a jittered barrier stress under the race detector
-# (`make shard-stress`), a checkpoint/restore smoke (`make
-# snapshot-smoke`), and the repository benchmark's own tests (`make
-# perfbench-test`). Performance is measured
-# by perfbench (BENCHMARK.json), not by this file.
+# schema freshness, one iteration of three root benchmarks and of the
+# per-layer microbenchmarks (`make bench-smoke`), a run of every example
+# program (`make examples-smoke`), an end-to-end smoke of the simulation
+# service (`make serve-smoke`), a sharded-execution smoke (`make
+# shard-smoke`), a jittered barrier stress under the race detector (`make
+# shard-stress`), a checkpoint/restore smoke (`make snapshot-smoke`), and
+# the repository benchmark's own tests (`make perfbench-test`).
+# Performance is measured by perfbench (BENCHMARK.json), not by this file.
 
 GO ?= go
 
-.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
+.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-smoke examples-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
 
 all: build
 
@@ -57,13 +57,22 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Quick sanity of the benchmarks for `make check`: two small root ones and
-# every per-layer microbenchmark, one iteration each, so they keep
+# Quick sanity of the benchmarks for `make check`: three small root ones
+# and every per-layer microbenchmark, one iteration each, so they keep
 # compiling and running. The repository benchmark of record is perfbench
 # (BENCHMARK.json, perfbench/README.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig2|AblationBitOps' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Fig2|AblationBitOps|ExtensionRevive' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/addrmap/ ./internal/cache/ ./internal/coherence/ ./internal/memctrl/ ./internal/network/ ./internal/pipeline/ ./internal/sim/ ./internal/workload/
+
+# Run every program under examples/ to completion. Examples check
+# themselves (revive exits non-zero if its two protocol runs diverge), so a
+# non-zero exit fails the target; their stdout is discarded.
+examples-smoke:
+	@for e in examples/*/; do \
+		echo "$(GO) run ./$$e"; \
+		$(GO) run ./$$e >/dev/null || exit 1; \
+	done
 
 # End-to-end smoke of sharded execution (DESIGN.md §13): one 16-node
 # config split across 4 OS threads must run to completion through the
@@ -110,4 +119,4 @@ metrics-schema:
 metrics-schema-check:
 	$(GO) run ./cmd/metricsdoc -check
 
-check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test
+check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke examples-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test

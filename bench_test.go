@@ -7,9 +7,7 @@
 package smtpsim_test
 
 import (
-	"context"
 	"math"
-	"sync"
 	"testing"
 
 	"smtpsim/internal/coherence"
@@ -228,75 +226,6 @@ func benchShardSyncPoint(b *testing.B, shards int) {
 func BenchmarkShard32NodeSync_Shards1(b *testing.B) { benchShardSyncPoint(b, 1) }
 func BenchmarkShard32NodeSync_Shards4(b *testing.B) { benchShardSyncPoint(b, 4) }
 
-// Warm-start sweep forking (DESIGN.md §14) — the same shard-count sweep
-// run both ways: every variant simulated in full, and the variants forked
-// from one shared prefix checkpoint at half the run. The simulated results
-// are byte-identical (internal/core's TestWarmSweepMatchesFullRuns pins
-// that), so the pair measures pure host wall time, and the Full/Forked
-// ratio of their ns/op is the warm-start speedup.
-
-func warmSweepVariants() []core.Config {
-	var cfgs []core.Config
-	for _, shards := range []int{1, 2, 4} {
-		cfgs = append(cfgs, core.Config{
-			Model: core.SMTp, App: core.FFT, Nodes: 16, AppThreads: 2,
-			Scale: 0.25, Seed: 42, Shards: shards,
-		})
-	}
-	return cfgs
-}
-
-var (
-	warmPrefixOnce sync.Once
-	warmPrefixAt   core.Cycle
-)
-
-// warmPrefix picks the fork point — half the sweep's run, aligned — from
-// one full run, computed once per process (outside benchmark timing).
-func warmPrefix(b *testing.B) core.Cycle {
-	warmPrefixOnce.Do(func() {
-		r := core.Run(warmSweepVariants()[0])
-		if !r.Completed {
-			return
-		}
-		warmPrefixAt = (r.Cycles / 2) &^ (core.SnapshotAlign - 1)
-	})
-	if warmPrefixAt < core.SnapshotAlign {
-		b.Fatal("warm-sweep run too short to pick a fork point")
-	}
-	return warmPrefixAt
-}
-
-func BenchmarkWarmSweep_Full(b *testing.B) {
-	cfgs := warmSweepVariants()
-	w := core.BuildWorkload(cfgs[0])
-	jobs := make([]core.Job, len(cfgs))
-	for i, c := range cfgs {
-		jobs[i] = core.Job{Cfg: c, Workload: w}
-	}
-	for i := 0; i < b.N; i++ {
-		for _, r := range (core.Runner{}).RunBatch(context.Background(), jobs) {
-			if !r.Completed {
-				b.Fatalf("full sweep variant failed: %v", r.Err)
-			}
-		}
-	}
-}
-
-func BenchmarkWarmSweep_Forked(b *testing.B) {
-	cfgs := warmSweepVariants()
-	prefix := warmPrefix(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range (core.Suite{}).RunWarmSweep(prefix, cfgs) {
-			if !r.Completed {
-				b.Fatalf("warm sweep variant failed: %v", r.Err)
-			}
-		}
-	}
-	b.ReportMetric(float64(prefix), "fork-cycle")
-}
-
 // Ablations from §2.1 and §2.3.
 
 func ablationPair(b *testing.B, app core.App, tweak string) (on, off uint64) {
@@ -347,6 +276,21 @@ func BenchmarkAblationBitOps(b *testing.B) {
 	}
 }
 
+// protoReviveLogged is the ReVive protocol registered under its own name
+// by a factory that keeps each run's log in lastReviveLog, so
+// BenchmarkExtensionRevive can report the record count. The benchmark runs
+// one simulation at a time, so the run it just finished owns the log.
+const protoReviveLogged = "revive_logged"
+
+var lastReviveLog *coherence.ReviveLog
+
+func init() {
+	core.RegisterProtocol(protoReviveLogged, func() *coherence.Table {
+		lastReviveLog = coherence.NewReviveLog()
+		return coherence.NewReviveTable(lastReviveLog)
+	})
+}
+
 // BenchmarkExtensionRevive measures the paper's §6 claim that protocol
 // extensions (here ReVive-style rollback logging) are protocol-code changes
 // with small overheads: same machine, different protocol table.
@@ -358,9 +302,8 @@ func BenchmarkExtensionRevive(b *testing.B) {
 		}
 		w := core.BuildWorkload(cfg)
 		base := core.RunWorkload(cfg, w)
-		log := coherence.NewReviveLog()
 		ext := cfg
-		ext.Protocol = coherence.NewReviveTable(log)
+		ext.Proto = protoReviveLogged
 		rev := core.RunWorkload(ext, w)
 		if !base.Completed || !rev.Completed || rev.CoherenceErr != nil {
 			b.Fatal("revive bench run failed")
@@ -368,7 +311,7 @@ func BenchmarkExtensionRevive(b *testing.B) {
 		if i == b.N-1 {
 			b.ReportMetric(100*(float64(rev.Cycles)-float64(base.Cycles))/float64(base.Cycles),
 				"logging-overhead-pct")
-			b.ReportMetric(float64(log.Entries), "log-records")
+			b.ReportMetric(float64(lastReviveLog.Entries), "log-records")
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -19,10 +18,6 @@ import (
 // describe the same run canonicalize to the same bytes, and Hash() over
 // those bytes is the content address under which the simulation service
 // caches results.
-
-// ErrUnhashable reports a config whose deprecated func/pointer fields make
-// it impossible to serialize; migrate to the named Tweak/Proto selectors.
-var ErrUnhashable = errors.New("config: deprecated func/pointer fields (PipeTweak, Protocol) are not serializable; use the named Tweak/Proto selectors")
 
 // ParseModel resolves a machine-model name case-insensitively.
 func ParseModel(s string) (Model, error) {
@@ -56,9 +51,6 @@ func ParseApp(s string) (App, error) {
 //   - MetricsDepth: forced to 0 when no series is recorded, 0 → 1024 when
 //     one is (the recorder's documented default).
 func (c Config) canonicalized() (Config, error) {
-	if c.PipeTweak != nil || c.Protocol != nil {
-		return c, ErrUnhashable
-	}
 	d, err := c.withDefaults()
 	if err != nil {
 		return c, err
@@ -79,8 +71,8 @@ func (c Config) canonicalized() (Config, error) {
 
 // Canonical returns the canonical JSON encoding of the config: defaults
 // applied, fixed field order, shortest-round-trip floats, no whitespace.
-// Equivalent configs produce identical bytes; configs still carrying the
-// deprecated func/pointer fields return ErrUnhashable.
+// Equivalent configs produce identical bytes; an invalid config is an
+// error.
 func (c Config) Canonical() ([]byte, error) {
 	d, err := c.canonicalized()
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -205,57 +204,6 @@ func TestUnmarshalStrict(t *testing.T) {
 	}
 	if err := c.Validate(); err == nil {
 		t.Error("unknown protocol passed Validate")
-	}
-}
-
-// TestUnhashableLegacyFields: the deprecated func/pointer fields keep
-// working for runs but are rejected by the canonical/hash path with
-// ErrUnhashable, so they can never silently alias a cache entry.
-func TestUnhashableLegacyFields(t *testing.T) {
-	cfg := Config{Model: SMTp, App: FFT, Nodes: 1,
-		PipeTweak: func(pc *pipeline.Config) { pc.LAS = false }}
-	if _, err := cfg.Canonical(); !errors.Is(err, ErrUnhashable) {
-		t.Fatalf("Canonical with PipeTweak: err=%v, want ErrUnhashable", err)
-	}
-	if _, err := cfg.Hash(); !errors.Is(err, ErrUnhashable) {
-		t.Fatalf("Hash with PipeTweak: err=%v, want ErrUnhashable", err)
-	}
-	if _, err := json.Marshal(cfg); err == nil {
-		t.Fatal("json.Marshal with PipeTweak succeeded")
-	}
-	// Still valid and runnable: the shim keeps old call sites working.
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("legacy config no longer validates: %v", err)
-	}
-}
-
-// TestNamedTweakMatchesLegacyFunc: the named selector and the deprecated
-// func produce byte-identical runs — the migration is observably neutral.
-func TestNamedTweakMatchesLegacyFunc(t *testing.T) {
-	base := Config{Model: SMTp, App: FFT, Nodes: 2, AppThreads: 1, Scale: 0.25, Seed: 42}
-
-	named := base
-	named.Tweak = TweakNoLAS
-	legacy := base
-	legacy.PipeTweak = func(pc *pipeline.Config) { pc.LAS = false }
-
-	rn := Run(named)
-	rl := Run(legacy)
-	if rn.Err != nil || rl.Err != nil {
-		t.Fatalf("runs failed: %v / %v", rn.Err, rl.Err)
-	}
-	var bn, bl bytes.Buffer
-	if err := WriteRunJSON(&bn, rn); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRunJSON(&bl, rl); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bn.Bytes(), bl.Bytes()) {
-		t.Fatal("named tweak and legacy func diverge")
-	}
-	if rn.Cycles == Run(base).Cycles {
-		t.Log("warning: LAS ablation did not change the cycle count at this scale")
 	}
 }
 

@@ -14,9 +14,7 @@ import (
 	"runtime"
 	"time"
 
-	"smtpsim/internal/coherence"
 	"smtpsim/internal/machine"
-	"smtpsim/internal/pipeline"
 	"smtpsim/internal/sim"
 	"smtpsim/internal/stats"
 	"smtpsim/internal/workload"
@@ -78,24 +76,6 @@ type Config struct {
 	// paper's protocol, "revive" = the §6 rollback-logging extension; see
 	// ProtocolNames and RegisterProtocol).
 	Proto string
-
-	// PipeTweak adjusts the core configuration (ablations).
-	//
-	// Deprecated: use Tweak with a registered name. A func-valued field
-	// cannot be serialized or hashed, so configs carrying it are rejected
-	// by Canonical/Hash and by the simulation server. When both PipeTweak
-	// and Tweak are set, PipeTweak wins (the explicit func is more specific
-	// than the name); this shim is kept for one release.
-	//simlint:allow apihygiene -- deprecated pre-serialization escape hatch, kept one release
-	PipeTweak func(*pipeline.Config)
-	// Protocol optionally replaces the coherence protocol table on every
-	// node.
-	//
-	// Deprecated: use Proto with a registered name. Same shim rules as
-	// PipeTweak: unhashable, and when both Protocol and Proto are set the
-	// explicit table wins; kept for one release.
-	//simlint:allow apihygiene -- deprecated pre-serialization escape hatch, kept one release
-	Protocol *coherence.Table
 
 	// MetricsInterval, when non-zero, additionally records a time series of
 	// every registered metric each MetricsInterval cycles; the run's Result
@@ -350,7 +330,7 @@ func RunWorkloadContext(ctx context.Context, cfg Config, w *workload.Workload) *
 		return &Result{Cfg: cfg, Err: err}
 	}
 	start := time.Now() //simlint:allow determinism -- host-side wall-time observability; never feeds simulated state
-	m := buildMachine(cfg)
+	m := machine.New(machineConfig(cfg))
 	workload.Attach(m, w)
 	cycles, done := driveMachine(ctx, cfg, m)
 	r := harvest(cfg, m, cycles, done)
@@ -362,34 +342,26 @@ func RunWorkloadContext(ctx context.Context, cfg Config, w *workload.Workload) *
 	return r
 }
 
-// buildMachine constructs the simulated machine for a defaulted config.
-// The deprecated func/pointer fields win over the named selectors when
-// both forms are set (documented precedence of the shim); names passed
-// Validate, so the lookups cannot fail here.
-func buildMachine(cfg Config) *machine.Machine {
-	tweak := cfg.PipeTweak
-	if tweak == nil {
-		tweak, _ = lookupTweak(cfg.Tweak)
-	}
-	protocol := cfg.Protocol
-	if protocol == nil {
-		if factory, _ := lookupProtocol(cfg.Proto); factory != nil {
-			protocol = factory()
-		}
-	}
-	return machine.New(machine.Config{
+// machineConfig maps a defaulted config onto the machine it describes,
+// resolving the named tweak and protocol through the registries (the names
+// passed Validate, so the lookups cannot fail here). Each call builds a
+// fresh protocol table, so stateful tables stay private to their run.
+func machineConfig(cfg Config) machine.Config {
+	tweak, _ := lookupTweak(cfg.Tweak)
+	protocol, _ := lookupProtocol(cfg.Proto)
+	return machine.Config{
 		Model:          cfg.Model,
 		Nodes:          cfg.Nodes,
 		AppThreads:     cfg.AppThreads,
 		CPUGHz:         cfg.CPUGHz,
 		PipeTweak:      tweak,
-		Protocol:       protocol,
+		Protocol:       protocol(),
 		Shards:         cfg.Shards,
 		SampleInterval: cfg.MetricsInterval,
 		SampleCapacity: cfg.MetricsDepth,
 
 		ReferenceKernel: cfg.ReferenceKernel,
-	})
+	}
 }
 
 // driveMachine runs an attached machine to completion, cancellation, or

@@ -101,11 +101,11 @@ func lookupTweak(name string) (func(*pipeline.Config), error) {
 	return fn, nil
 }
 
-// lookupProtocol resolves a Config.Proto name ("" and "base" = the default
-// table).
+// lookupProtocol resolves a Config.Proto name ("" = "base", whose factory
+// returns the nil table that selects the default protocol).
 func lookupProtocol(name string) (func() *coherence.Table, error) {
 	if name == "" {
-		return nil, nil
+		name = ProtoBase
 	}
 	factory, ok := protocolTables[name]
 	if !ok {

@@ -1,10 +1,32 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"smtpsim/internal/coherence"
+	"smtpsim/internal/machine"
+	"smtpsim/internal/workload"
 )
+
+// runWithTable runs w under cfg on a machine whose nodes all use table,
+// installed through machine.Config.Protocol (the hook the named protocols
+// resolve into), so a test can read the table's own state such as the
+// ReVive log. Registering a protocol name instead would change the
+// registry that TestRegistryValidation pins.
+func runWithTable(t *testing.T, cfg Config, w *workload.Workload, table *coherence.Table) *Result {
+	t.Helper()
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := machineConfig(c)
+	mc.Protocol = table
+	m := machine.New(mc)
+	workload.Attach(m, w)
+	cycles, done := m.Run(c.MaxCycles)
+	return harvest(c, m, cycles, done)
+}
 
 // TestReviveExtensionEndToEnd runs the ReVive logging protocol on a real
 // SMTp machine: the run must stay coherent, write log records, and cost
@@ -21,9 +43,7 @@ func TestReviveExtensionEndToEnd(t *testing.T) {
 	}
 
 	log := coherence.NewReviveLog()
-	ext := cfg
-	ext.Protocol = coherence.NewReviveTable(log)
-	rev := RunWorkload(ext, w)
+	rev := runWithTable(t, cfg, w, coherence.NewReviveTable(log))
 	if !rev.Completed {
 		t.Fatal("revive run did not complete")
 	}
@@ -47,9 +67,9 @@ func TestReviveExtensionEndToEnd(t *testing.T) {
 }
 
 // TestReviveNamedProtocolMatchesCustomTable: selecting the extension by
-// name ("revive") and wiring a hand-built table through the deprecated
-// Protocol field are the same run, cycle for cycle — the named selector is
-// a pure serialization-layer change.
+// name ("revive") and installing a hand-built table on the machine are the
+// same run, byte for byte — the named selector is a pure
+// serialization-layer change.
 func TestReviveNamedProtocolMatchesCustomTable(t *testing.T) {
 	cfg := Config{Model: SMTp, App: Radix, Nodes: 2, AppThreads: 1, Scale: 0.25, Seed: 13}
 	w := BuildWorkload(cfg)
@@ -57,16 +77,13 @@ func TestReviveNamedProtocolMatchesCustomTable(t *testing.T) {
 	named := cfg
 	named.Proto = ProtoRevive
 	rn := RunWorkload(named, w)
-	if !rn.Completed || rn.CoherenceErr != nil {
-		t.Fatalf("named revive run failed: %v", rn.CoherenceErr)
+	if rn.CoherenceErr != nil {
+		t.Fatalf("named revive run broke coherence: %v", rn.CoherenceErr)
 	}
-
-	custom := cfg
-	custom.Protocol = coherence.NewReviveTable(coherence.NewReviveLog())
-	rc := RunWorkload(custom, w)
-	if rc.Cycles != rn.Cycles || rc.RetiredProto != rn.RetiredProto {
-		t.Fatalf("named and custom revive diverge: %d/%d vs %d/%d cycles/retired",
-			rn.Cycles, rn.RetiredProto, rc.Cycles, rc.RetiredProto)
+	rc := runWithTable(t, cfg, w, coherence.NewReviveTable(coherence.NewReviveLog()))
+	jn, jc := ckptJSON(t, "named revive", rn), ckptJSON(t, "custom revive", rc)
+	if !bytes.Equal(jn, jc) {
+		t.Fatalf("named and custom revive diverge:\n%s", firstJSONDiff(jn, jc))
 	}
 }
 
@@ -75,11 +92,8 @@ func TestReviveNamedProtocolMatchesCustomTable(t *testing.T) {
 // SMTp.
 func TestReviveOnPPModels(t *testing.T) {
 	log := coherence.NewReviveLog()
-	cfg := Config{
-		Model: Int512KB, App: Water, Nodes: 2, AppThreads: 1,
-		Scale: 0.25, Seed: 3, Protocol: coherence.NewReviveTable(log),
-	}
-	res := Run(cfg)
+	cfg := Config{Model: Int512KB, App: Water, Nodes: 2, AppThreads: 1, Scale: 0.25, Seed: 3}
+	res := runWithTable(t, cfg, BuildWorkload(cfg), coherence.NewReviveTable(log))
 	if !res.Completed || res.CoherenceErr != nil {
 		t.Fatalf("run failed: %v", res.CoherenceErr)
 	}

@@ -46,11 +46,6 @@ type Job struct {
 	// figure sweeps do: Base builds it, the other four models reuse it).
 	// Nil builds a fresh workload from Cfg inside the worker.
 	Workload *workload.Workload
-	// Fn, when set, replaces the default execution entirely: the pool calls
-	// it instead of Run/RunWorkload, with the same panic-to-failed-Result
-	// and cancellation handling. The warm-start sweep uses this to fan
-	// checkpoint captures and resumes across the same pool as plain runs.
-	Fn func(context.Context) *Result
 }
 
 func (r Runner) workers() int {
@@ -120,9 +115,6 @@ func runJob(ctx context.Context, j Job) (res *Result) {
 	}()
 	if ctx.Err() != nil {
 		return &Result{Cfg: j.Cfg, Err: ctx.Err()}
-	}
-	if j.Fn != nil {
-		return j.Fn(ctx)
 	}
 	if j.Workload != nil {
 		return RunWorkloadContext(ctx, j.Cfg, j.Workload)

@@ -43,10 +43,18 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// tweakPanic names a test-only tweak that panics while the machine is
+// built. It is registered once per test binary: RegisterTweak panics on a
+// duplicate name, so registering inside the test would break -count 2.
+const tweakPanic = "test_panic"
+
+func init() {
+	RegisterTweak(tweakPanic, func(*pipeline.Config) { panic("injected pipeline panic") })
+}
+
 func TestRunnerPanicBecomesFailedResult(t *testing.T) {
-	boom := func(*pipeline.Config) { panic("injected pipeline panic") }
 	jobs := []Job{
-		{Cfg: Config{Model: SMTp, App: Water, Nodes: 1, Scale: 0.25, Seed: 2, PipeTweak: boom}},
+		{Cfg: Config{Model: SMTp, App: Water, Nodes: 1, Scale: 0.25, Seed: 2, Tweak: tweakPanic}},
 		{Cfg: Config{Model: SMTp, App: Water, Nodes: 1, Scale: 0.25, Seed: 2}},
 	}
 	results := Runner{Workers: 2}.RunBatch(context.Background(), jobs)

@@ -90,10 +90,8 @@ func RunWithSnapshot(cfg Config, at Cycle) (*Checkpoint, *Result, error) {
 // machine to completion. The returned Result is identical to an
 // uninterrupted RunContext (pinned by the snapshot differential suite).
 // The checkpoint is nil when the run completed or was cancelled before the
-// capture point. Configs using sampled simulation or the deprecated
-// func/pointer fields cannot be checkpointed (the former interleaves
-// non-cycle state the envelope does not carry, the latter cannot be
-// serialized into it).
+// capture point. Sampled runs cannot be checkpointed: they interleave
+// non-cycle state the envelope does not carry.
 func RunWithSnapshotContext(ctx context.Context, cfg Config, at Cycle) (*Checkpoint, *Result, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -103,9 +101,6 @@ func RunWithSnapshotContext(ctx context.Context, cfg Config, at Cycle) (*Checkpo
 		err := fmt.Errorf("core: sampled runs cannot be checkpointed")
 		return nil, &Result{Cfg: cfg, Err: err}, err
 	}
-	if _, err := c.Canonical(); err != nil {
-		return nil, &Result{Cfg: cfg, Err: err}, err
-	}
 	if at <= 0 {
 		err := fmt.Errorf("core: snapshot cycle %d must be positive", at)
 		return nil, &Result{Cfg: cfg, Err: err}, err
@@ -113,7 +108,7 @@ func RunWithSnapshotContext(ctx context.Context, cfg Config, at Cycle) (*Checkpo
 	at = (at + SnapshotAlign - 1) &^ (SnapshotAlign - 1)
 
 	start := time.Now() //simlint:allow determinism -- host-side wall-time observability; never feeds simulated state
-	m := buildMachine(c)
+	m := machine.New(machineConfig(c))
 	workload.Attach(m, BuildWorkload(c))
 
 	budget := c.MaxCycles
@@ -155,13 +150,14 @@ func ResumeSnapshot(cfg Config, ck *Checkpoint) *Result {
 // the shard count and the cycle budget may differ (see resumeKey). The
 // Result accounts for the full run: Cycles includes the checkpointed
 // prefix, and all counters continue from their restored values, so the
-// output is byte-identical to an uninterrupted run of the same config.
+// output is byte-identical to an uninterrupted run of the same config. A
+// nil checkpoint (RunWithSnapshot's answer for a run that ended before the
+// capture point) is an error.
 func ResumeSnapshotContext(ctx context.Context, cfg Config, ck *Checkpoint) *Result {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return &Result{Cfg: cfg, Err: err}
+	if ck == nil {
+		return &Result{Cfg: cfg, Err: fmt.Errorf("core: no checkpoint to resume (the run ended before the capture point)")}
 	}
-	key, err := resumeKey(c)
+	c, err := cfg.withDefaults()
 	if err != nil {
 		return &Result{Cfg: cfg, Err: err}
 	}
@@ -169,7 +165,8 @@ func ResumeSnapshotContext(ctx context.Context, cfg Config, ck *Checkpoint) *Res
 	if err != nil {
 		return &Result{Cfg: cfg, Err: fmt.Errorf("checkpoint config: %w", err)}
 	}
-	if key != ckKey {
+	// c passed withDefaults, so its canonical form cannot fail.
+	if key, _ := resumeKey(c); key != ckKey {
 		return &Result{Cfg: cfg, Err: fmt.Errorf(
 			"core: checkpoint was captured under a different configuration:\n  have %s\n  want %s", ckKey, key)}
 	}
@@ -179,10 +176,16 @@ func ResumeSnapshotContext(ctx context.Context, cfg Config, ck *Checkpoint) *Res
 	}
 
 	start := time.Now() //simlint:allow determinism -- host-side wall-time observability; never feeds simulated state
-	m := buildMachine(c)
+	m := machine.New(machineConfig(c))
 	workload.Attach(m, BuildWorkload(c))
 	if err := m.Restore(ck.Data); err != nil {
 		return &Result{Cfg: cfg, Err: err}
+	}
+	// The reported cycle count builds on ck.At, so the envelope must agree
+	// with the cycle the machine snapshot itself was taken at.
+	if now := m.Eng.Now(); now != ck.At {
+		return &Result{Cfg: cfg, Err: fmt.Errorf(
+			"core: checkpoint envelope says cycle %d, but its machine snapshot was taken at cycle %d", ck.At, now)}
 	}
 	ran, done := m.RunContext(ctx, c.MaxCycles-ck.At)
 	r := harvest(c, m, ck.At+ran, done)

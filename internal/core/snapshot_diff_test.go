@@ -191,6 +191,46 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsEnvelopeCycleMismatch: a resumed run's cycle count
+// builds on the envelope's capture cycle, so an envelope that disagrees
+// with the cycle its machine snapshot was taken at must fail the resume
+// instead of reporting a shifted count.
+func TestResumeRejectsEnvelopeCycleMismatch(t *testing.T) {
+	cfg := Config{Model: SMTp, App: FFT, Nodes: 4, AppThreads: 1, Scale: 0.25, Seed: 42}
+	ck, _, err := RunWithSnapshot(cfg, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck == nil || ck.At == SnapshotAlign {
+		t.Fatalf("want a checkpoint past cycle %d, got %+v", SnapshotAlign, ck)
+	}
+	for _, at := range []Cycle{ck.At + 4096, SnapshotAlign, 0} {
+		bad := *ck
+		bad.At = at
+		if r := ResumeSnapshot(cfg, &bad); r.Err == nil {
+			t.Errorf("envelope cycle %d over a snapshot at cycle %d resumed without error, reporting %d cycles",
+				at, ck.At, r.Cycles)
+		}
+	}
+}
+
+// TestResumeNilCheckpoint: RunWithSnapshot returns a nil checkpoint when
+// the run ends before the capture point, and resuming from it is an
+// error, not a panic.
+func TestResumeNilCheckpoint(t *testing.T) {
+	cfg := Config{Model: SMTp, App: FFT, Nodes: 4, AppThreads: 1, Scale: 0.25, Seed: 42}
+	ck, r, err := RunWithSnapshot(cfg, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck != nil || !r.Completed {
+		t.Fatalf("want a completed run and no checkpoint, got checkpoint %v, completed %v", ck != nil, r.Completed)
+	}
+	if res := ResumeSnapshot(cfg, ck); res.Err == nil || res.Completed {
+		t.Fatalf("resume from a nil checkpoint: err=%v completed=%v", res.Err, res.Completed)
+	}
+}
+
 // TestSampledRunsDeterministic pins the sampled-simulation mode: sampling
 // changes the outcome (that is why SamplePeriod and SampleWindow are
 // hashed, unlike Shards), but identical sampled configs must still be

@@ -16,21 +16,34 @@ func TestDirectoryCachePressure(t *testing.T) {
 		t.Skip("needs a large problem to exceed the 64KB directory cache")
 	}
 	w := Build(Params{App: Radix, Threads: 1, Nodes: 1, Scale: 48, Seed: 2})
-	run := func(model machine.Model) (cycles uint64, misses uint64) {
-		m := machine.New(machine.Config{Model: model, Nodes: 1, AppThreads: 1})
-		Attach(m, w)
-		cyc, done := m.Run(100_000_000)
-		if !done {
-			t.Fatalf("%v did not complete", model)
+	type outcome struct{ cycles, misses uint64 }
+	var o512, o64 outcome
+	// The two machines only read w, so they run as parallel subtests; the
+	// group returns once both have finished.
+	t.Run("models", func(t *testing.T) {
+		for _, tc := range []struct {
+			model machine.Model
+			out   *outcome
+		}{{machine.Int512KB, &o512}, {machine.Int64KB, &o64}} {
+			t.Run(tc.model.String(), func(t *testing.T) {
+				t.Parallel()
+				m := machine.New(machine.Config{Model: tc.model, Nodes: 1, AppThreads: 1})
+				Attach(m, w)
+				cyc, done := m.Run(100_000_000)
+				if !done {
+					t.Fatalf("%v did not complete", tc.model)
+				}
+				*tc.out = outcome{uint64(cyc), m.Nodes[0].PP.Engine.DirMisses()}
+			})
 		}
-		return uint64(cyc), m.Nodes[0].PP.Engine.DirMisses()
+	})
+	if t.Failed() {
+		return
 	}
-	c512, m512 := run(machine.Int512KB)
-	c64, m64 := run(machine.Int64KB)
-	if m64 <= m512 {
-		t.Fatalf("64KB dir cache misses (%d) must exceed 512KB's (%d)", m64, m512)
+	if o64.misses <= o512.misses {
+		t.Fatalf("64KB dir cache misses (%d) must exceed 512KB's (%d)", o64.misses, o512.misses)
 	}
-	if c64 <= c512 {
-		t.Fatalf("Int64KB (%d cycles) must be slower than Int512KB (%d)", c64, c512)
+	if o64.cycles <= o512.cycles {
+		t.Fatalf("Int64KB (%d cycles) must be slower than Int512KB (%d)", o64.cycles, o512.cycles)
 	}
 }
