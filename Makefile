@@ -30,7 +30,7 @@ vet:
 # of released messages and runs their suites, so any use-after-release or
 # double-release on the pooled paths panics instead of corrupting state.
 test-poolcheck:
-	$(GO) test -tags poolcheck ./internal/network/ ./internal/coherence/ ./internal/memctrl/ ./internal/pipeline/ ./internal/machine/
+	$(GO) test -tags poolcheck ./internal/network/ ./internal/coherence/ ./internal/memctrl/ ./internal/pipeline/ ./internal/node/ ./internal/machine/
 
 # The runner fans simulations out across goroutines; the whole suite runs
 # under the race detector so nothing escapes the gate. The simulator is

@@ -23,9 +23,9 @@ import (
 //     the interface;
 //   - indirect: a call through a func-typed value (field, variable,
 //     parameter, call result) fans out to every address-taken function of
-//     identical signature in a simulation package — this is how events a
-//     shard engine dispatches (pooled delivery records, pipeline
-//     closures, ClockedFunc adapters) stay in the graph;
+//     identical signature in a simulation package — this is how what a
+//     shard engine dispatches (its fire function, the machine's fire
+//     method value, and ClockedFunc adapters) stays in the graph;
 //   - literal: a function literal is assumed callable whenever its
 //     enclosing function runs.
 
@@ -433,8 +433,8 @@ var engineDispatchMethods = map[string]bool{"Tick": true, "NextWork": true, "Ski
 //     them during a window.
 //
 // Everything a window can execute is then reached through the graph's
-// static, interface, indirect and literal edges (scheduled event
-// closures are indirect calls from the engine's dispatch loop).
+// static, interface, indirect and literal edges (a due event is an
+// indirect call from the engine's dispatch loop to its fire function).
 func (g *callGraph) windowRoots() []*funcNode {
 	var roots []*funcNode
 	for _, n := range g.nodes {

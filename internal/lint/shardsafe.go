@@ -88,11 +88,7 @@ func (n *funcNode) inFunnel(dirs *shardDirectives) bool {
 // ---------------------------------------------------------------------
 // Directives
 
-const (
-	shardLocalPrefix  = "//simlint:shardlocal"
-	shardFunnelPrefix = "//simlint:shardfunnel"
-	directivePrefix   = "//simlint:"
-)
+const directivePrefix = "//simlint:"
 
 // shardDirectives is the parsed //simlint:shardlocal / shardfunnel
 // annotations of the module.

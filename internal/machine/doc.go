@@ -5,7 +5,9 @@
 //
 // A Machine is a passive assembly — New wires engine, network, nodes and
 // synchronization together but simulates nothing until Run/RunContext
-// steps the shared event engine. The five models differ only in how the
+// steps the shared event engine. Every engine fires its due events through
+// the machine's fire method, which routes each event descriptor by kind to
+// the network, pipeline or memory controller of the node that owns it. The five models differ only in how the
 // protocol execution backend is provisioned (embedded protocol processor
 // vs the SMTp protocol thread) and in memory-controller placement and
 // clocking; everything else — core, caches, network, directory layout —

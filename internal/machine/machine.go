@@ -184,16 +184,16 @@ func New(cfg Config) *Machine {
 	}
 	cfg.Shards = nsh
 
-	eng := sim.NewEngine()
-	if cfg.ReferenceKernel {
-		eng = sim.NewReferenceEngine()
-	}
 	m := &Machine{
 		Cfg:  cfg,
-		Eng:  eng,
 		Sync: NewSyncManager(),
 		AMap: addrmap.NewMap(cfg.Nodes),
 		Reg:  stats.NewRegistry(),
+	}
+	if cfg.ReferenceKernel {
+		m.Eng = sim.NewReferenceEngine(m.fire)
+	} else {
+		m.Eng = sim.NewEngine(m.fire)
 	}
 	hop := sim.Cycle(25 * cfg.CPUGHz)
 	m.Net = network.New(network.Config{
@@ -224,7 +224,7 @@ func New(cfg Config) *Machine {
 		for k := 0; k < nsh; k++ {
 			seng := m.Eng
 			if k > 0 {
-				seng = sim.NewEngine()
+				seng = sim.NewEngine(m.fire)
 			}
 			ep := m.Net.NewEndpoint(seng)
 			seng.AddQuiescer(ep)
@@ -374,6 +374,27 @@ func New(cfg Config) *Machine {
 		}), cfg.SampleInterval, 0)
 	}
 	return m
+}
+
+// fire is every engine's fire function: it routes a due event by its
+// descriptor's kind to the component that scheduled it on the owning node.
+// Deliveries go to the network (to the destination shard's endpoint on a
+// sharded machine), kinds below network.KDeliver to the node's pipeline,
+// and the rest to its memory controller. Restored events fire through it
+// exactly like live ones.
+func (m *Machine) fire(d sim.Desc) {
+	switch {
+	case d.Kind == network.KDeliver:
+		if len(m.shards) > 0 {
+			m.epOf(addrmap.NodeID(d.Owner)).Fire(d)
+		} else {
+			m.Net.Fire(d)
+		}
+	case d.Kind < network.KDeliver:
+		m.Nodes[d.Owner].Pipe.Fire(d)
+	default:
+		m.Nodes[d.Owner].MC.Fire(d)
+	}
 }
 
 // Recorder returns the cycle-sampled time-series recorder, or nil when

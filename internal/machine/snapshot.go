@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"smtpsim/internal/addrmap"
+	"smtpsim/internal/memctrl"
 	"smtpsim/internal/network"
 	"smtpsim/internal/pipeline"
 	"smtpsim/internal/sim"
@@ -296,36 +296,38 @@ func (m *Machine) Restore(b []byte) error {
 		if at <= now {
 			return fmt.Errorf("machine: snapshot event kind %d due at cycle %d, at or before the snapshot cycle %d", desc.Kind, at, now)
 		}
-		if err := m.rehydrate(at, pos, evSeq, desc); err != nil {
+		if err := m.checkEvent(desc); err != nil {
 			return err
 		}
-	}
-	for _, n := range m.Nodes {
-		n.Pipe.FinishRestore()
+		m.engineOf(desc.Owner).RestoreEvent(at, pos, evSeq, desc)
 	}
 	return d.Err()
 }
 
-// rehydrate dispatches one snapshotted event to the component that owns
-// its descriptor kind, on whichever engine drives the owner node in this
-// machine's shard arrangement.
-func (m *Machine) rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, desc sim.Desc) error {
-	if desc.Owner < 0 || int(desc.Owner) >= len(m.Nodes) {
-		return fmt.Errorf("machine: event kind %d owned by node %d, machine has %d nodes", desc.Kind, desc.Owner, len(m.Nodes))
+// checkEvent validates one snapshotted event before restore pushes it: its
+// owner must be a node of this machine and its kind one that a component
+// claims, with arguments that component can fire (see fire).
+func (m *Machine) checkEvent(d sim.Desc) error {
+	if d.Owner < 0 || int(d.Owner) >= len(m.Nodes) {
+		return fmt.Errorf("machine: event kind %d owned by node %d, machine has %d nodes", d.Kind, d.Owner, len(m.Nodes))
 	}
 	switch {
-	case desc.Kind == network.KDeliver:
-		var ep *network.Endpoint
-		if len(m.shards) > 0 {
-			ep = m.epOf(addrmap.NodeID(desc.Owner))
-		}
-		m.Net.RestoreDelivery(ep, at, pos, seq, desc)
-		return nil
-	case desc.Kind < network.KDeliver:
-		return m.Nodes[desc.Owner].Pipe.Rehydrate(at, pos, seq, desc)
+	case d.Kind == network.KDeliver:
+		return network.CheckDeliver(d)
+	case d.Kind < network.KDeliver:
+		return m.Nodes[d.Owner].Pipe.CheckEvent(d)
 	default:
-		return m.Nodes[desc.Owner].MC.Rehydrate(at, pos, seq, desc)
+		return memctrl.CheckEvent(d)
 	}
+}
+
+// engineOf returns the engine that drives node id in this machine's shard
+// arrangement.
+func (m *Machine) engineOf(id int32) *sim.Engine {
+	if len(m.shards) == 0 {
+		return m.Eng
+	}
+	return m.shards[int(id)/m.nodesPS].eng
 }
 
 // SaveState serializes the synchronization manager: barrier arrivals (in

@@ -354,10 +354,16 @@ func TestRestoreRejectsCorruptBounds(t *testing.T) {
 	if n := u64(threads); n != 4 {
 		t.Fatalf("thread count reads %d", n)
 	}
-	// The event list: count, then the first event's due cycle.
+	// The event list: count, then the first event's due cycle, position
+	// lanes, sequence, owning node and one-byte kind.
 	events := field("\x04evts", 0)
 	if n := u64(events); n == 0 || u64(events+8) <= now {
 		t.Fatalf("event section reads %d events, first due at %d (now %d)", n, u64(events+8), now)
+	}
+	owner := events + 8*6
+	kind := owner + 8
+	if o := u64(owner); o >= 4 || snap[kind] == 0 {
+		t.Fatalf("first event reads owner %d, kind %d", o, snap[kind])
 	}
 	for _, tc := range []struct {
 		name string
@@ -368,6 +374,8 @@ func TestRestoreRejectsCorruptBounds(t *testing.T) {
 		{"huge component count", comps, 1 << 40},
 		{"component due at the snapshot cycle", comps + 8, int64(now)},
 		{"event due at cycle 0", events + 8, 0},
+		{"event owned by a node past the last", owner, 4},
+		{"event owned by a negative node", owner, -1},
 		{"negative stream position", threads + 8, -5},
 		{"stream position past the end", threads + 8, 1 << 40},
 	} {
@@ -375,6 +383,13 @@ func TestRestoreRejectsCorruptBounds(t *testing.T) {
 		binary.LittleEndian.PutUint64(bad[tc.off:], uint64(tc.v))
 		if err := sharingMachine(SMTp).Restore(bad); err == nil {
 			t.Errorf("%s: Restore accepted the corrupt snapshot", tc.name)
+		}
+	}
+	for _, k := range []uint8{0, 40} { // kind 0 and a kind no component claims
+		bad := bytes.Clone(snap)
+		bad[kind] = k
+		if err := sharingMachine(SMTp).Restore(bad); err == nil {
+			t.Errorf("event kind %d: Restore accepted the corrupt snapshot", k)
 		}
 	}
 	if err := sharingMachine(SMTp).Restore(snap); err != nil {

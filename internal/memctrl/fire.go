@@ -1,70 +1,73 @@
 package memctrl
 
 import (
+	"fmt"
+
 	"smtpsim/internal/cache"
 	"smtpsim/internal/network"
+	"smtpsim/internal/sim"
 )
 
-// fire is a pooled carrier for the deferred effect actions — sends and
-// refills whose data must wait for the overlapped SDRAM read, and refills
-// crossing the processor bus of a non-integrated controller. It replaces the
-// per-effect closures the controller used to hand the engine: the func value
-// is bound once when the record is allocated, so scheduling a deferred
-// action allocates nothing in steady state.
-type fire struct {
-	mc  *MC
-	run func() // bound to exec once, at allocation
+// The controller's scheduled events are plain descriptors: a deferred
+// local enqueue carries its message, a deferred effect action its message
+// or its refill's line, state, ack count and flags. The engine hands each
+// one back to Fire when it comes due, and a snapshot stores it verbatim.
 
-	kind    uint8
-	msg     *network.Message // fireSend
-	line    uint64           // fireRefill
-	st      cache.State
-	acks    int
-	upgrade bool
-	crossed bool // the PIExtraCycles bus hop has been taken
-}
-
+// Fire kinds, packed into the low byte of a KMCFire descriptor's first
+// word alongside the fireDesc* flag bits.
 const (
 	fireSend = uint8(iota)
 	fireRefill
 )
 
-// getFire draws a fire record from the controller's free list.
-func (mc *MC) getFire() *fire {
-	if k := len(mc.fireFree); k > 0 {
-		f := mc.fireFree[k-1]
-		mc.fireFree[k-1] = nil
-		mc.fireFree = mc.fireFree[:k-1]
-		return f
+// Fire runs one of the controller's scheduled events.
+func (mc *MC) Fire(d sim.Desc) {
+	switch d.Kind {
+	case KMCDeferred:
+		m := mc.pool.Get()
+		network.UnpackMessage([4]uint64(d.Args[:4]), m)
+		mc.localDeferred(m)
+	case KMCFire:
+		mc.fire(d)
+	default:
+		panic(fmt.Sprintf("memctrl: unknown event kind %d", d.Kind))
 	}
-	f := &fire{mc: mc}
-	f.run = f.exec
-	return f
 }
 
-// exec performs the carried action and returns the record to the free list.
-// Fields are copied to locals and the record released before calling out:
-// the network or the node's miss machinery may re-enter the controller.
-func (f *fire) exec() {
-	mc := f.mc
-	switch f.kind {
+// fire performs a deferred effect action: a send whose data waited on the
+// overlapped SDRAM read, or a refill. On a non-integrated controller a
+// refill first crosses the processor bus: the same descriptor, flagged
+// crossed, is scheduled again as the second leg.
+func (mc *MC) fire(d sim.Desc) {
+	switch uint8(d.Args[0]) {
 	case fireSend:
-		m := f.msg
-		f.msg = nil
-		mc.fireFree = append(mc.fireFree, f)
+		m := mc.pool.Get()
+		network.UnpackMessage([4]uint64(d.Args[1:5]), m)
 		mc.net.Send(m)
 	case fireRefill:
-		if extra := mc.cfg.PIExtraCycles; extra > 0 && !f.crossed {
-			// Non-integrated controller: the refill crosses the system bus
-			// before reaching the processor. Same record, second leg.
-			f.crossed = true
-			mc.eng.AfterDesc(extra, mc.fireDesc(f), f.run)
+		if extra := mc.cfg.PIExtraCycles; extra > 0 && d.Args[0]&fireDescCrossed == 0 {
+			d.Args[0] |= fireDescCrossed
+			mc.eng.After(extra, d)
 			return
 		}
-		line, st, acks, upgrade := f.line, f.st, f.acks, f.upgrade
-		mc.fireFree = append(mc.fireFree, f)
-		mc.node.DeliverRefill(line, st, acks, upgrade)
+		mc.node.DeliverRefill(d.Args[1], cache.State(d.Args[2]), int(int64(d.Args[3])), d.Args[0]&fireDescUpgrade != 0)
 	default:
-		panic("memctrl: unknown fire kind")
+		panic(fmt.Sprintf("memctrl: unknown fire kind %d", uint8(d.Args[0])))
 	}
+}
+
+// CheckEvent validates a snapshotted controller descriptor before restore
+// pushes it, so a corrupt one fails the restore instead of panicking when
+// it fires.
+func CheckEvent(d sim.Desc) error {
+	switch d.Kind {
+	case KMCDeferred:
+		return nil
+	case KMCFire:
+		if k := uint8(d.Args[0]); k != fireSend && k != fireRefill {
+			return fmt.Errorf("memctrl: unknown fire kind %d in descriptor", k)
+		}
+		return nil
+	}
+	return fmt.Errorf("memctrl: unknown event kind %d", d.Kind)
 }

@@ -84,7 +84,6 @@ type MC struct {
 	pool      *network.Pool
 	effects   *coherence.EffectArena
 	traceFree [][]isa.Instr
-	fireFree  []*fire
 	hctx      coherence.Ctx
 
 	sdramBusy sim.Cycle
@@ -218,8 +217,10 @@ func (mc *MC) EnqueueLocalPI(t uint8, line uint64) bool {
 
 func (mc *MC) enqueueLocalReady(m *network.Message) {
 	if mc.cfg.PIExtraCycles > 0 {
-		// Non-integrated controller: the request crosses the system bus.
-		mc.eng.AfterDesc(mc.cfg.PIExtraCycles, mc.deferredDesc(m), func() { mc.localDeferred(m) })
+		// Non-integrated controller: the request crosses the system bus
+		// packed in its event descriptor; Fire draws it again on arrival.
+		mc.eng.After(mc.cfg.PIExtraCycles, mc.deferredDesc(m))
+		mc.pool.Put(m)
 		mc.local = append(mc.local, nil) // hold the slot while in transit
 		return
 	}
@@ -280,10 +281,10 @@ func (mc *MC) sdramWrite() {
 }
 
 // ProtocolMiss services an SMTp protocol-thread L2 miss over the separate
-// protocol bus, bypassing the local miss interface (§2.1). cb runs when the
-// line arrives; d is the caller's restore descriptor for the completion
-// event (the pipeline owns the closure, so it owns the descriptor too).
-func (mc *MC) ProtocolMiss(line uint64, d sim.Desc, cb func()) {
+// protocol bus, bypassing the local miss interface (§2.1). d is the
+// caller's completion event, fired when the line arrives (the pipeline
+// owns the completion, so it owns the descriptor).
+func (mc *MC) ProtocolMiss(line uint64, d sim.Desc) {
 	now := mc.eng.Now()
 	start := now
 	if mc.protoBusy > start {
@@ -296,7 +297,7 @@ func (mc *MC) ProtocolMiss(line uint64, d sim.Desc, cb func()) {
 	}
 	mc.protoBusy = start + xfer
 	mc.ProtoMisses++
-	mc.eng.ScheduleDesc(ready, d, cb)
+	mc.eng.Schedule(ready, d)
 }
 
 // pick selects the next message to dispatch: replies first (they always
@@ -434,19 +435,14 @@ const (
 // by the backend when the carrying instruction completes (PP retire or SMTp
 // graduation). This is the single consumer of effect handles: each one is
 // taken out of the dispatch unit's arena (freeing its slot) and copied into
-// a pooled fire record, or fired inline.
+// a KMCFire descriptor, fired inline or scheduled.
 func (mc *MC) FireEffect(h uint32) {
 	e := mc.effects.Take(h)
 	switch e.Kind {
 	case coherence.EffSend:
-		f := mc.getFire()
-		f.kind, f.msg = fireSend, mc.pool.GetCopy(&e.Msg)
-		mc.fireWhenReady(e.NeedsMemory, e.Line, f)
+		mc.fireWhenReady(e.NeedsMemory, e.Line, mc.sendDesc(&e.Msg))
 	case coherence.EffRefill:
-		f := mc.getFire()
-		f.kind, f.line, f.st, f.acks, f.upgrade, f.crossed =
-			fireRefill, e.Line, e.St, e.Acks, e.Upgrade, false
-		mc.fireWhenReady(e.NeedsMemory, e.Line, f)
+		mc.fireWhenReady(e.NeedsMemory, e.Line, mc.refillDesc(e.Line, e.St, e.Acks, e.Upgrade))
 	case coherence.EffNak:
 		mc.node.DeliverNak(e.Line)
 	case coherence.EffIAck:
@@ -458,11 +454,11 @@ func (mc *MC) FireEffect(h uint32) {
 	}
 }
 
-// fireWhenReady runs f now, or once the overlapped SDRAM read of its line
+// fireWhenReady fires d now, or once the overlapped SDRAM read of its line
 // has completed.
-func (mc *MC) fireWhenReady(needsMem bool, addr uint64, f *fire) {
+func (mc *MC) fireWhenReady(needsMem bool, addr uint64, d sim.Desc) {
 	if !needsMem {
-		f.exec()
+		mc.fire(d)
 		return
 	}
 	line := addrmap.LineAddr(addr)
@@ -472,11 +468,8 @@ func (mc *MC) fireWhenReady(needsMem bool, addr uint64, f *fire) {
 		ready = mc.sdramRead(line)
 	}
 	if ready <= mc.eng.Now() {
-		f.exec()
+		mc.fire(d)
 		return
 	}
-	mc.eng.ScheduleDesc(ready, mc.fireDesc(f), f.run)
+	mc.eng.Schedule(ready, d)
 }
-
-// ProtoBusBusyUntil exposes the protocol bus reservation (debug aid).
-func (mc *MC) ProtoBusBusyUntil() sim.Cycle { return mc.protoBusy }

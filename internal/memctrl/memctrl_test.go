@@ -80,11 +80,28 @@ type rig struct {
 	net   *network.Network
 	nodes []*testNode
 	mcs   []*MC
+	// completions records the cycle of every fired event kind the rig's
+	// components do not claim (the pipeline's, in a real machine).
+	completions []sim.Cycle
+}
+
+// fire is the rig's fire function: deliveries go to the network,
+// controller kinds to the owning controller, anything else is recorded.
+func (r *rig) fire(d sim.Desc) {
+	switch {
+	case d.Kind == network.KDeliver:
+		r.net.Fire(d)
+	case d.Kind >= KMCDeferred:
+		r.mcs[d.Owner].Fire(d)
+	default:
+		r.completions = append(r.completions, r.eng.Now())
+	}
 }
 
 func newRig(t testing.TB, nodes int, cfg Config) *rig {
 	t.Helper()
-	r := &rig{eng: sim.NewEngine()}
+	r := &rig{}
+	r.eng = sim.NewEngine(r.fire)
 	r.net = network.New(network.Config{Nodes: nodes, HopCycles: 50, BytesPerCyc: 0.5, LocalLoop: 4},
 		r.eng, func(m *network.Message) { r.mcs[m.Dst].EnqueueNet(m) })
 	for i := 0; i < nodes; i++ {
@@ -294,10 +311,10 @@ func TestPIExtraCyclesDelaysBase(t *testing.T) {
 func TestProtocolMissSeparateBus(t *testing.T) {
 	r := newRig(t, 1, defCfg())
 	mc := r.mcs[0]
-	var done []sim.Cycle
-	mc.ProtocolMiss(addrmap.DirBase, sim.Desc{}, func() { done = append(done, r.eng.Now()) })
-	mc.ProtocolMiss(addrmap.DirBase+128, sim.Desc{}, func() { done = append(done, r.eng.Now()) })
+	mc.ProtocolMiss(addrmap.DirBase, sim.Desc{Kind: 1})
+	mc.ProtocolMiss(addrmap.DirBase+128, sim.Desc{Kind: 1})
 	r.run(1000)
+	done := r.completions
 	if len(done) != 2 {
 		t.Fatal("protocol misses did not complete")
 	}
@@ -342,3 +359,29 @@ func TestDispatchCountsAndDrain(t *testing.T) {
 }
 
 func (n *testNode) LocalMissOutstanding(line uint64) bool { return false }
+
+// TestUnknownEventsFailLoudly: Fire panics on a descriptor no live path
+// schedules, and CheckEvent turns each such descriptor into a restore
+// error instead.
+func TestUnknownEventsFailLoudly(t *testing.T) {
+	mc := newRig(t, 1, defCfg()).mcs[0]
+	if err := CheckEvent(mc.refillDesc(0, cache.Shared, 0, false)); err != nil {
+		t.Fatalf("refill descriptor rejected: %v", err)
+	}
+	for _, d := range []sim.Desc{
+		{Kind: KMCFire + 1},
+		{Kind: KMCFire, Args: [6]uint64{7}},
+	} {
+		if CheckEvent(d) == nil {
+			t.Errorf("CheckEvent accepted %+v", d)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fire(%+v) did not panic", d)
+				}
+			}()
+			mc.Fire(d)
+		}()
+	}
+}

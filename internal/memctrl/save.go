@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"fmt"
 	"sort"
 
 	"smtpsim/internal/cache"
@@ -19,7 +18,7 @@ const (
 	// controller's system bus (enqueueLocalReady's PIExtraCycles leg).
 	KMCDeferred uint8 = 64
 	// KMCFire is a deferred effect action waiting on the overlapped SDRAM
-	// read or crossing the processor bus (fireWhenReady / fire.exec).
+	// read or crossing the processor bus (fireWhenReady / fire).
 	KMCFire uint8 = 65
 )
 
@@ -56,59 +55,27 @@ func (mc *MC) deferredDesc(m *network.Message) sim.Desc {
 	return d
 }
 
-// fireDesc describes a scheduled fire record: kind and flag bits in the
-// first word, then the send's message or the refill's line/state/acks.
-func (mc *MC) fireDesc(f *fire) sim.Desc {
+// sendDesc describes a deferred send: the fire kind, then the message.
+func (mc *MC) sendDesc(m *network.Message) sim.Desc {
 	d := sim.Desc{Owner: mc.owner(), Kind: KMCFire}
-	d.Args[0] = uint64(f.kind)
-	if f.crossed {
-		d.Args[0] |= fireDescCrossed
-	}
-	if f.upgrade {
-		d.Args[0] |= fireDescUpgrade
-	}
-	switch f.kind {
-	case fireSend:
-		w := network.PackMessage(f.msg)
-		copy(d.Args[1:5], w[:])
-	case fireRefill:
-		d.Args[1] = f.line
-		d.Args[2] = uint64(f.st)
-		d.Args[3] = uint64(int64(f.acks))
-	}
+	d.Args[0] = uint64(fireSend)
+	w := network.PackMessage(m)
+	copy(d.Args[1:5], w[:])
 	return d
 }
 
-// Rehydrate rebuilds the closure of a snapshotted controller event and
-// re-injects it with its original heap key.
-func (mc *MC) Rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) error {
-	switch d.Kind {
-	case KMCDeferred:
-		m := mc.pool.Get()
-		network.UnpackMessage([4]uint64{d.Args[0], d.Args[1], d.Args[2], d.Args[3]}, m)
-		mc.eng.RestoreEvent(at, pos, seq, d, func() { mc.localDeferred(m) })
-	case KMCFire:
-		f := mc.getFire()
-		f.kind = uint8(d.Args[0])
-		f.crossed = d.Args[0]&fireDescCrossed != 0
-		f.upgrade = d.Args[0]&fireDescUpgrade != 0
-		switch f.kind {
-		case fireSend:
-			m := mc.pool.Get()
-			network.UnpackMessage([4]uint64{d.Args[1], d.Args[2], d.Args[3], d.Args[4]}, m)
-			f.msg = m
-		case fireRefill:
-			f.line = d.Args[1]
-			f.st = cache.State(d.Args[2])
-			f.acks = int(int64(d.Args[3]))
-		default:
-			return fmt.Errorf("memctrl: unknown fire kind %d in descriptor", f.kind)
-		}
-		mc.eng.RestoreEvent(at, pos, seq, d, f.run)
-	default:
-		return fmt.Errorf("memctrl: unknown event kind %d", d.Kind)
+// refillDesc describes a deferred refill: the fire kind and flag bits,
+// then the line, its state and the expected invalidation-ack count.
+func (mc *MC) refillDesc(line uint64, st cache.State, acks int, upgrade bool) sim.Desc {
+	d := sim.Desc{Owner: mc.owner(), Kind: KMCFire}
+	d.Args[0] = uint64(fireRefill)
+	if upgrade {
+		d.Args[0] |= fireDescUpgrade
 	}
-	return nil
+	d.Args[1] = line
+	d.Args[2] = uint64(st)
+	d.Args[3] = uint64(int64(acks))
+	return d
 }
 
 // SaveState serializes the controller's queues, SDRAM and bus reservations,

@@ -9,11 +9,12 @@ import (
 
 // BenchmarkSendDeliverRelease pins the full pooled message lifecycle —
 // pool Get, Send over the bristled hypercube (link reservations in the
-// dense table), scheduled delivery, and release back to the pool — at zero
+// dense table, the message released into its delivery descriptor), the
+// delivery drawing a fresh message, and release back to the pool — at zero
 // allocations per message in steady state.
 func BenchmarkSendDeliverRelease(b *testing.B) {
-	eng := sim.NewEngine()
 	var net *Network
+	eng := sim.NewEngine(func(d sim.Desc) { net.Fire(d) })
 	net = New(Config{Nodes: 32, HopCycles: 2, BytesPerCyc: 1, LocalLoop: 4},
 		eng, func(m *Message) { net.MsgPool().Put(m) })
 	pool := net.MsgPool()
@@ -30,7 +31,7 @@ func BenchmarkSendDeliverRelease(b *testing.B) {
 			eng.Advance(eng.Now() + 1024)
 		}
 	}
-	// Warm the pool, the delivery-record free list and the event queue.
+	// Warm the pool, the descriptor arena and the event queue.
 	for i := 0; i < 256; i++ {
 		send(i)
 	}

@@ -86,8 +86,7 @@ type Network struct {
 	dimBase  int // first router->router slot
 	ejBase   int // first router->node slot
 
-	pool  Pool        // the machine's message recycler
-	dfree []*delivery // pooled in-flight delivery records
+	pool Pool // the machine's message recycler
 
 	// Sharded machines route every send through per-shard Endpoints; the
 	// network keeps the shared topology and link tables and replays the
@@ -202,7 +201,9 @@ func serCycles(bytes int, bpc float64) sim.Cycle {
 
 // Send injects a message. Arrival time accounts for injection-port queuing,
 // per-hop latency, serialization, and ejection-port queuing; delivery is a
-// scheduled event calling the deliver callback.
+// scheduled event that carries the message packed in its descriptor
+// (deliverDesc). Send is therefore a release point: the caller hands over
+// its only reference, and Fire draws a fresh message at the destination.
 //
 //simlint:shardfunnel -- serial-path only: sharded machines route every window send through their shard's Endpoint (the Port interface); the Network's own Send runs unsharded
 func (n *Network) Send(m *Message) {
@@ -214,7 +215,8 @@ func (n *Network) Send(m *Message) {
 	if m.Src == m.Dst {
 		// MC loopback (e.g. home == requester replies to itself) does not
 		// traverse the router.
-		n.eng.ScheduleDesc(now+n.cfg.LocalLoop, deliverDesc(m), n.deliveryFn(m))
+		n.eng.Schedule(now+n.cfg.LocalLoop, deliverDesc(m))
+		n.pool.Put(m)
 		return
 	}
 
@@ -236,43 +238,19 @@ func (n *Network) Send(m *Message) {
 
 	// Head latency over the hops plus injection and ejection serialization.
 	done := t + 2*ser + sim.Cycle(n.Hops(m.Src, m.Dst))*n.cfg.HopCycles
-	n.eng.ScheduleDesc(done, deliverDesc(m), n.deliveryFn(m))
+	n.eng.Schedule(done, deliverDesc(m))
+	n.pool.Put(m)
 }
 
-// delivery is a pooled pending-arrival record. The callback handed to the
-// event queue is bound once per record and the record recycles itself on
-// firing, so a steady-state Send schedules without allocating.
-type delivery struct {
-	n  *Network
-	m  *Message
-	fn func()
-}
-
-//simlint:shardfunnel -- serial-path only, like Send: pooled delivery records are drawn here for unsharded delivery or during barrier replay
-func (n *Network) deliveryFn(m *Message) func() {
-	var d *delivery
-	if k := len(n.dfree); k > 0 {
-		d = n.dfree[k-1]
-		n.dfree[k-1] = nil
-		n.dfree = n.dfree[:k-1]
-	} else {
-		d = &delivery{n: n}
-		d.fn = d.fire
-	}
-	d.m = m
-	return d.fn
-}
-
-// fire is the serial delivery event. Sharded machines never schedule it —
-// their deliveries run through the endpoint-local epDelivery (shard.go) —
-// but it is statically window-reachable through the engine's event
-// dispatch, so the sanction is spelled out here.
+// Fire runs a KDeliver event on an unsharded machine: it rebuilds the
+// message the descriptor carries on a fresh pooled message and hands it to
+// the deliver callback. Sharded machines deliver through the destination
+// shard's Endpoint instead.
 //
-//simlint:shardfunnel -- serial-path only: deliveryFn events exist solely on unsharded machines (endpoints own the sharded delivery path), so no parallel window can dispatch one
-func (d *delivery) fire() {
-	n, m := d.n, d.m
-	d.m = nil
-	n.dfree = append(n.dfree, d)
+//simlint:shardfunnel -- serial-path only: the machine routes deliveries to Network.Fire solely when unsharded (endpoints own the sharded delivery path), so no parallel window can dispatch one
+func (n *Network) Fire(d sim.Desc) {
+	m := n.pool.Get()
+	unpackDeliver(d, m)
 	n.Delivered++
 	n.deliver(m)
 }

@@ -8,9 +8,12 @@ import (
 	"smtpsim/internal/sim"
 )
 
+// mk builds a network on an engine whose fire function delivers through
+// the network, as an unsharded machine's does.
 func mk(nodes int, deliver func(*Message)) (*Network, *sim.Engine) {
-	eng := sim.NewEngine()
-	n := New(Config{Nodes: nodes, HopCycles: 50, BytesPerCyc: 0.5, LocalLoop: 4}, eng, deliver)
+	var n *Network
+	eng := sim.NewEngine(func(d sim.Desc) { n.Fire(d) })
+	n = New(Config{Nodes: nodes, HopCycles: 50, BytesPerCyc: 0.5, LocalLoop: 4}, eng, deliver)
 	return n, eng
 }
 
@@ -260,5 +263,18 @@ func TestRouteStructure(t *testing.T) {
 		if used[i] != want[i] {
 			t.Fatalf("reserved slots %v, want %v", used, want)
 		}
+	}
+}
+
+// TestCheckDeliver: a delivery descriptor restores only on the node its
+// message is addressed to.
+func TestCheckDeliver(t *testing.T) {
+	d := deliverDesc(&Message{Src: 0, Dst: 3, Addr: 0x80})
+	if err := CheckDeliver(d); err != nil {
+		t.Fatalf("delivery descriptor rejected: %v", err)
+	}
+	d.Owner = 2
+	if CheckDeliver(d) == nil {
+		t.Fatal("a delivery owned by a node other than its destination passed")
 	}
 }

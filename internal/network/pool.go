@@ -60,6 +60,3 @@ func (p *Pool) Put(m *Message) {
 	p.Puts++
 	p.free = append(p.free, m)
 }
-
-// FreeLen reports the current free-list depth (test/observability aid).
-func (p *Pool) FreeLen() int { return len(p.free) }

@@ -50,8 +50,9 @@ func TestPoolPoisonsReleasedMessages(t *testing.T) {
 // a sink that releases a message and then forwards it fails immediately
 // instead of corrupting a later owner.
 func TestNetworkRejectsReleasedMessage(t *testing.T) {
-	eng := sim.NewEngine()
-	n := New(Config{Nodes: 4, HopCycles: 1}, eng, func(*Message) {})
+	var n *Network
+	eng := sim.NewEngine(func(d sim.Desc) { n.Fire(d) })
+	n = New(Config{Nodes: 4, HopCycles: 1}, eng, func(*Message) {})
 	m := n.MsgPool().Get()
 	m.Src, m.Dst = 0, 1
 	n.MsgPool().Put(m)

@@ -15,9 +15,9 @@ const KDeliver uint8 = 32
 
 // deliverDesc packs a delivery event's full identity into a descriptor.
 // A Message is small enough that the descriptor IS the message: routing
-// ids and type in one word, then address, aux and payload size. Restore
+// ids and type in one word, then address, aux and payload size. Fire
 // rebuilds the message from the descriptor alone, drawing a fresh pooled
-// message on the destination's endpoint.
+// message on the destination's pool.
 func deliverDesc(m *Message) sim.Desc {
 	d := sim.Desc{Owner: int32(m.Dst), Kind: KDeliver}
 	w := PackMessage(m)
@@ -58,20 +58,16 @@ func UnpackMessage(a [4]uint64, m *Message) {
 	m.DataBytes = int(a[3])
 }
 
-// RestoreDelivery re-injects a snapshotted delivery event. ep selects the
-// delivery path: nil on a serial machine (the network's own engine and
-// pooled records), or the destination shard's endpoint on a sharded one.
-// The message is rebuilt from the descriptor on the chosen pool.
-func (n *Network) RestoreDelivery(ep *Endpoint, at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) {
-	if ep == nil {
-		m := n.pool.Get()
-		unpackDeliver(d, m)
-		n.eng.RestoreEvent(at, pos, seq, d, n.deliveryFn(m))
-		return
+// CheckDeliver validates a snapshotted KDeliver descriptor before restore
+// pushes it: the packed message must be addressed to the node that owns
+// the event, the node whose deliver callback Fire will run.
+func CheckDeliver(d sim.Desc) error {
+	var m Message
+	unpackDeliver(d, &m)
+	if int32(m.Dst) != d.Owner {
+		return fmt.Errorf("network: delivery owned by node %d carries a message for node %d", d.Owner, m.Dst)
 	}
-	m := ep.pool.Get()
-	unpackDeliver(d, m)
-	ep.eng.RestoreEvent(at, pos, seq, d, ep.deliveryFn(m))
+	return nil
 }
 
 // MessageBytes is the encoded size of one SaveMessage record: loaders size
@@ -115,7 +111,7 @@ func DecodeMessage(d *snapshot.Decoder, m *Message) {
 
 // CheckQuiesced verifies the network holds no state outside the engines'
 // event heaps: staged cross-shard sends are invisible to ExportState, so a
-// snapshot may only be taken at a sync point after ReplayStaged drained
+// snapshot may only be taken at a sync point after replay drained
 // them (the machine's snapshot-cycle alignment guarantees this; the check
 // makes a violation loud).
 func (n *Network) CheckQuiesced() error {

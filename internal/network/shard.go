@@ -17,13 +17,14 @@ type Port interface {
 }
 
 // stagedSend is one cross-shard message awaiting deterministic replay: the
-// message, its send cycle, the sender's engine position at Send time (the
-// global scheduling order of the send), and the endpoint-local staging
-// sequence that breaks ties among sends from the same position.
+// message by value (Send released the pooled original), its send cycle,
+// the sender's engine position at Send time (the global scheduling order
+// of the send), and the endpoint-local staging sequence that breaks ties
+// among sends from the same position.
 //
-//simlint:shardlocal -- staged sends live in endpoint-local buffers during a window; ReplayStaged merges them into the network's replay buffer only at sync points, with all shards parked
+//simlint:shardlocal -- staged sends live in endpoint-local buffers during a window; PlanReplay merges them into the network's replay buffer only at sync points, with all shards parked
 type stagedSend struct {
-	m   *Message
+	m   Message
 	at  sim.Cycle
 	pos [3]uint64
 	seq uint64
@@ -35,15 +36,14 @@ type stagedSend struct {
 // shards' staged sends in the global serial order at every sync point,
 // reserving the shared link tables single-threaded. Loopback messages
 // (Src == Dst) never leave the shard and are scheduled inline. The message
-// pool, delivery records and traffic counters are all endpoint-local, so
-// the steady-state send path allocates nothing and shares nothing.
+// pool and traffic counters are endpoint-local, so the steady-state send
+// path allocates nothing and shares nothing.
 //
-//simlint:shardlocal -- one endpoint per shard by construction; only the owning shard's send path touches it inside a window, and ReplayStaged drains it with all shards parked
+//simlint:shardlocal -- one endpoint per shard by construction; only the owning shard's send path touches it inside a window, and PlanReplay drains it with all shards parked
 type Endpoint struct {
 	net    *Network
 	eng    *sim.Engine
 	pool   Pool
-	dfree  []*epDelivery
 	staged []stagedSend
 	seq    uint64
 
@@ -53,8 +53,8 @@ type Endpoint struct {
 }
 
 // NewEndpoint creates a shard-local port onto the network, driven by the
-// shard's engine. Deliveries to this shard's nodes must be scheduled
-// through the endpoint (ReplayStaged does so) to use its local free lists.
+// shard's engine. Deliveries to this shard's nodes fire through the
+// endpoint (Fire), drawing from its local pool.
 func (n *Network) NewEndpoint(eng *sim.Engine) *Endpoint {
 	ep := &Endpoint{net: n, eng: eng}
 	n.eps = append(n.eps, ep)
@@ -67,18 +67,20 @@ func (n *Network) NewEndpoint(eng *sim.Engine) *Endpoint {
 func (e *Endpoint) MsgPool() *Pool { return &e.pool }
 
 // Send implements Port: loopback messages are scheduled shard-locally at
-// the configured loopback latency, everything else is staged for the next
-// sync-point replay. Counters are endpoint-local; the network sums them.
+// the configured loopback latency, everything else is staged by value for
+// the next sync-point replay. Like Network.Send it releases m. Counters
+// are endpoint-local; the network sums them.
 func (e *Endpoint) Send(m *Message) {
 	m.AssertLive("network.Send")
 	e.Sent++
 	e.BytesSent += uint64(m.Bytes())
 	if m.Src == m.Dst {
-		e.eng.ScheduleDesc(e.eng.Now()+e.net.cfg.LocalLoop, deliverDesc(m), e.deliveryFn(m))
-		return
+		e.eng.Schedule(e.eng.Now()+e.net.cfg.LocalLoop, deliverDesc(m))
+	} else {
+		e.seq++
+		e.staged = append(e.staged, stagedSend{m: *m, at: e.eng.Now(), pos: e.eng.Pos(), seq: e.seq})
 	}
-	e.seq++
-	e.staged = append(e.staged, stagedSend{m: m, at: e.eng.Now(), pos: e.eng.Pos(), seq: e.seq})
+	e.pool.Put(m)
 }
 
 // NextWork implements sim.Quiescer for the shard engine: like the serial
@@ -89,32 +91,12 @@ func (e *Endpoint) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 	return sim.NoWork, true
 }
 
-// epDelivery is the endpoint-local pooled pending-arrival record,
-// mirroring the serial network's delivery type.
-type epDelivery struct {
-	ep *Endpoint
-	m  *Message
-	fn func()
-}
-
-func (e *Endpoint) deliveryFn(m *Message) func() {
-	var d *epDelivery
-	if k := len(e.dfree); k > 0 {
-		d = e.dfree[k-1]
-		e.dfree[k-1] = nil
-		e.dfree = e.dfree[:k-1]
-	} else {
-		d = &epDelivery{ep: e}
-		d.fn = d.fire
-	}
-	d.m = m
-	return d.fn
-}
-
-func (d *epDelivery) fire() {
-	e, m := d.ep, d.m
-	d.m = nil
-	e.dfree = append(e.dfree, d)
+// Fire runs a KDeliver event on a sharded machine: the message the
+// descriptor carries is rebuilt on a fresh message from this (the
+// destination shard's) pool and handed to the network's deliver callback.
+func (e *Endpoint) Fire(d sim.Desc) {
+	m := e.pool.Get()
+	unpackDeliver(d, m)
 	e.Delivered++
 	e.net.deliver(m)
 }
@@ -163,9 +145,6 @@ func (n *Network) PlanReplay(nodesPerShard, shards int) *ReplayPlan {
 	buf := n.replayBuf[:0]
 	for _, ep := range n.eps {
 		buf = append(buf, ep.staged...)
-		for i := range ep.staged {
-			ep.staged[i].m = nil
-		}
 		ep.staged = ep.staged[:0]
 	}
 	n.replayBuf = buf
@@ -203,7 +182,7 @@ func (n *Network) PlanReplay(nodesPerShard, shards int) *ReplayPlan {
 		n.stampCur = 1
 	}
 	for i := range buf {
-		m := buf[i].m
+		m := &buf[i].m
 		if !n.stampRoute(m.Src, m.Dst, int32(int(m.Dst)/nodesPerShard)) {
 			return p // two partitions share a link: replay serially
 		}
@@ -291,7 +270,7 @@ func (p *ReplayPlan) ReplayPart(k int, epOf func(addrmap.NodeID) *Endpoint) {
 func (n *Network) replayRange(msgs []stagedSend, epOf func(addrmap.NodeID) *Endpoint, waits *uint64) {
 	for i := range msgs {
 		s := &msgs[i]
-		m := s.m
+		m := &s.m
 		ser := serCycles(m.Bytes(), n.cfg.BytesPerCyc)
 		t := s.at
 		t = reserveOn(n.linkBusy, int(m.Src), t, ser, waits)
@@ -309,8 +288,7 @@ func (n *Network) replayRange(msgs []stagedSend, epOf func(addrmap.NodeID) *Endp
 		if n.obs != nil {
 			n.obs(m, done)
 		}
-		to.eng.ScheduleKeyedDesc(done, s.pos, deliverDesc(m), to.deliveryFn(m))
-		s.m = nil
+		to.eng.ScheduleKeyed(done, s.pos, deliverDesc(m))
 	}
 }
 
@@ -335,9 +313,6 @@ func (p *ReplayPlan) Finish() int {
 			p.n.LinkWaits += p.waits[k]
 			p.waits[k] = 0
 		}
-		for i := range p.buf {
-			p.buf[i].m = nil
-		}
 	}
 	p.n.replayBuf = p.buf[:0]
 	p.buf = nil
@@ -349,13 +324,3 @@ func (p *ReplayPlan) Finish() int {
 // field). Install before the first sync point; the observer must be safe to
 // call from a replay partition for destinations that partition owns.
 func (n *Network) SetReplayObserver(fn func(m *Message, done sim.Cycle)) { n.obs = fn }
-
-// ReplayStaged is the single-threaded replay in one call: plan, serial
-// pass, finish. Serial sync points (and tests) use it; the sharded
-// coordinator drives the plan itself so disjoint partitions can run on the
-// shard workers.
-func (n *Network) ReplayStaged(epOf func(addrmap.NodeID) *Endpoint) int {
-	p := n.PlanReplay(0, 1)
-	p.ReplaySerial(epOf)
-	return p.Finish()
-}

@@ -203,14 +203,14 @@ func (d *downstream) EnqueueLocal(t uint8, line uint64) bool {
 	return d.MC.EnqueueLocalPI(t, line)
 }
 
-func (d *downstream) ProtocolMiss(line uint64, dc sim.Desc, cb func()) {
-	d.MC.ProtocolMiss(line, dc, cb)
+func (d *downstream) ProtocolMiss(line uint64, dc sim.Desc) {
+	d.MC.ProtocolMiss(line, dc)
 }
 
-func (d *downstream) IMiss(line uint64, dc sim.Desc, cb func()) {
+func (d *downstream) IMiss(line uint64, dc sim.Desc) {
 	// Application instruction fills come from the local memory image
 	// (read-only, replicated code pages) without coherence involvement.
-	d.eng.AfterDesc(d.imissCyc, dc, cb)
+	d.eng.After(d.imissCyc, dc)
 }
 
 func (d *downstream) FireEffect(h uint32) { d.MC.FireEffect(h) }

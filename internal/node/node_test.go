@@ -31,9 +31,24 @@ func (r *recordingSync) Poll(gtid int, token uint64) bool {
 	return true
 }
 
+// firing is one event the test engine fired.
+type firing struct {
+	d  sim.Desc
+	at sim.Cycle
+}
+
 func buildNode(t *testing.T, id addrmap.NodeID, nodes int, smtp bool) (*Node, *sim.Engine, *recordingSync) {
+	n, eng, syn, _ := buildNodeLog(t, id, nodes, smtp)
+	return n, eng, syn
+}
+
+// buildNodeLog builds a node whose engine fires nothing but records every
+// event that comes due, so tests can time what the node scheduled.
+func buildNodeLog(t *testing.T, id addrmap.NodeID, nodes int, smtp bool) (*Node, *sim.Engine, *recordingSync, *[]firing) {
 	t.Helper()
-	eng := sim.NewEngine()
+	var fired []firing
+	var eng *sim.Engine
+	eng = sim.NewEngine(func(d sim.Desc) { fired = append(fired, firing{d, eng.Now()}) })
 	amap := addrmap.NewMap(nodes)
 	var nodeSlot *Node
 	net := network.New(network.Config{Nodes: nodes}, eng, func(m *network.Message) {
@@ -53,7 +68,7 @@ func buildNode(t *testing.T, id addrmap.NodeID, nodes int, smtp bool) (*Node, *s
 		PPCfg:   ppCfg, MCClockDiv: 2,
 	})
 	nodeSlot = n
-	return n, eng, syn
+	return n, eng, syn, &fired
 }
 
 func TestEnvDelegation(t *testing.T) {
@@ -97,16 +112,16 @@ func TestDownstreamStampsPIMessages(t *testing.T) {
 }
 
 func TestIMissTiming(t *testing.T) {
-	n, eng, _ := buildNode(t, 0, 2, false)
+	n, eng, _, fired := buildNodeLog(t, 0, 2, false)
 	d := (*downstream)(n)
-	done := sim.Cycle(0)
-	d.IMiss(0x1000, sim.Desc{}, func() { done = eng.Now() })
-	for i := 0; i < 1000 && done == 0; i++ {
+	fill := sim.Desc{Kind: pipeline.KIFillL2, Args: [6]uint64{0, 0x1000, 0x1000}}
+	d.IMiss(0x1000, fill)
+	for i := 0; i < 1000 && len(*fired) == 0; i++ {
 		eng.Step()
 	}
 	want := sim.Cycle(pipeline.DefaultConfig(2, false).IMissCyc)
-	if done != want {
-		t.Fatalf("I-fill at %d, want %d", done, want)
+	if len(*fired) != 1 || (*fired)[0].at != want || (*fired)[0].d != fill {
+		t.Fatalf("I-fill fired %+v, want %+v at %d", *fired, fill, want)
 	}
 }
 

@@ -206,17 +206,14 @@ func (p *Pipeline) ifetchHit(t *thread, pc uint64, now sim.Cycle) bool {
 	t.fetchBlockedICM = true
 	// L2 (and its bypass buffer) backs the I-cache.
 	if p.l2.Access(pc) != nil || (t.isProtocol && p.l2byp.Access(pc) != nil) {
-		p.afterDesc(sim.Cycle(p.cfg.L2HitCyc), p.iFillDesc(t.id, line),
-			func() { p.iFill(t.id, line) })
+		p.eng.After(sim.Cycle(p.cfg.L2HitCyc), p.iFillDesc(t.id, line))
 		return false
 	}
 	l2line := p.l2.LineAddr(pc)
 	if t.isProtocol {
-		p.down.ProtocolMiss(l2line, p.iFillL2Desc(t.id, line, l2line),
-			p.settled(func() { p.iFillL2(t.id, line, l2line) }))
+		p.down.ProtocolMiss(l2line, p.iFillL2Desc(t.id, line, l2line))
 	} else {
-		p.down.IMiss(l2line, p.iFillL2Desc(t.id, line, l2line),
-			p.settled(func() { p.iFillL2(t.id, line, l2line) }))
+		p.down.IMiss(l2line, p.iFillL2Desc(t.id, line, l2line))
 	}
 	return false
 }

@@ -67,12 +67,6 @@ func (p *Pipeline) CheckNoLeaks() error {
 	return nil
 }
 
-// MSHRInUse exposes the MSHR load for tests and drain checks.
-func (p *Pipeline) MSHRInUse() int { return p.mshr.InUse() }
-
-// Caches exposes the hierarchy for workload warmup and statistics.
-func (p *Pipeline) Caches() (l1i, l1d, l2 *cache.Cache) { return p.l1i, p.l1d, p.l2 }
-
 // ProtoStats returns the SMTp dispatch statistics (zeros on non-SMTp cores).
 func (p *Pipeline) ProtoStats() (dispatched, lookAheadStarts, switchStalls uint64) {
 	if p.proto == nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"smtpsim/internal/isa"
-	"smtpsim/internal/sim"
 )
 
 // Look-Ahead Scheduling semantics (§2.3): with LAS the next handler's PC is
@@ -12,8 +11,8 @@ import (
 // without it, fetch waits for the previous handler's ldctxt to graduate.
 
 func lasRig(las bool) *rig {
-	eng := sim.NewEngine()
-	down := &mockDown{eng: eng, auto: true, delay: 30}
+	down := &mockDown{auto: true, delay: 30}
+	eng := newMockEngine(down)
 	syn := &alwaysSync{ready: true}
 	cfg := DefaultConfig(1, true)
 	cfg.LAS = las

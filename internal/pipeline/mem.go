@@ -90,7 +90,7 @@ func (p *Pipeline) handleL2Eviction(ev cache.Line) {
 func (p *Pipeline) sendPI(t coherence.MsgType, line uint64) {
 	if !p.down.EnqueueLocal(uint8(t), line) {
 		p.SendPISpins++
-		p.afterDesc(4, p.sendPIDesc(t, line), func() { p.sendPI(t, line) })
+		p.eng.After(4, p.sendPIDesc(t, line))
 	}
 }
 
@@ -196,16 +196,14 @@ func (p *Pipeline) protoL2Miss(u *uop, line uint64, addr uint64, isStore bool) {
 	if e == nil {
 		// Reserved entry is in use; retry shortly.
 		p.ProtoRetrySpins++
-		p.afterDesc(2, p.protoRetryDesc(u, line, addr, isStore),
-			func() { p.protoL2Miss(u, line, addr, isStore) })
+		p.eng.After(2, p.protoRetryDesc(u, line, addr, isStore))
 		return
 	}
 	if u != nil {
 		u.waitingMem = true
 		e.Waiters = append(e.Waiters, u)
 	}
-	p.down.ProtocolMiss(line, p.protoDoneDesc(line, addr),
-		p.settled(func() { p.protoMissDone(line, addr) }))
+	p.down.ProtocolMiss(line, p.protoDoneDesc(line, addr))
 }
 
 // protoMissDone completes a protocol-thread L2 miss: the line is installed,
@@ -382,8 +380,7 @@ func (p *Pipeline) DeliverNak(line uint64) {
 	}
 	e.Issued = false
 	gen := e.Gen
-	p.afterDesc(sim.Cycle(p.cfg.NakBackoff), p.nakRetryDesc(line, gen),
-		func() { p.nakRetry(line, gen) })
+	p.eng.After(sim.Cycle(p.cfg.NakBackoff), p.nakRetryDesc(line, gen))
 }
 
 // nakRetry re-issues a NAKed transaction unless the entry it was armed for
@@ -527,7 +524,7 @@ func (p *Pipeline) drainProtoStore(e *storeEntry, addr uint64) {
 	e.pending = true
 	p.protoL2Miss(nil, line, addr, true)
 	// protoL2Miss fills the cache; complete the store when the line lands.
-	p.afterDesc(4, p.storePollDesc(e.u.seq, line), func() { p.storePoll(e.u.seq, line) })
+	p.eng.After(4, p.storePollDesc(e.u.seq, line))
 }
 
 // storePoll completes a draining protocol store once its line has landed in
@@ -551,7 +548,7 @@ func (p *Pipeline) storePoll(uopSeq, line uint64) {
 		return
 	}
 	p.StorePollSpins++
-	p.afterDesc(4, p.storePollDesc(uopSeq, line), func() { p.storePoll(uopSeq, line) })
+	p.eng.After(4, p.storePollDesc(uopSeq, line))
 }
 
 // performStore writes a (committed) store's data into the hierarchy and

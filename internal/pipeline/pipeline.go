@@ -101,10 +101,11 @@ type Downstream interface {
 	// message from its pool only once the queue has room.
 	EnqueueLocal(t uint8, line uint64) bool
 	// ProtocolMiss services an SMTp protocol-thread L2 miss on the separate
-	// protocol bus. d describes the completion event for snapshots.
-	ProtocolMiss(line uint64, d sim.Desc, cb func())
-	// IMiss fills an application instruction line from local memory.
-	IMiss(line uint64, d sim.Desc, cb func())
+	// protocol bus, firing the completion event d when the line arrives.
+	ProtocolMiss(line uint64, d sim.Desc)
+	// IMiss fills an application instruction line from local memory,
+	// firing the completion event d when the line arrives.
+	IMiss(line uint64, d sim.Desc)
 	// FireEffect fires the effect a protocol-trace instruction's handle
 	// names (SMTp only).
 	FireEffect(effect uint32)
@@ -272,8 +273,8 @@ type Pipeline struct {
 
 	seq uint64
 
-	// restoreUops indexes restored uops by sequence number between LoadState
-	// and FinishRestore, so event rehydration can resolve uop references.
+	// restoreUops indexes restored uops by sequence number while LoadState
+	// resolves the snapshot's uop references.
 	restoreUops map[uint64]*uop
 
 	// Statistics.
@@ -398,9 +399,6 @@ func (p *Pipeline) freeUop(u *uop) {
 	u.pooled = true
 	p.uopPool = append(p.uopPool, u)
 }
-
-// NumContexts returns the number of hardware thread contexts.
-func (p *Pipeline) NumContexts() int { return len(p.threads) }
 
 // ProtoTID returns the protocol thread's context index (-1 if none).
 func (p *Pipeline) ProtoTID() int {
@@ -633,27 +631,8 @@ func (p *Pipeline) extInput() {
 	p.wake = true
 }
 
-// after schedules fn like sim.Engine.After, re-entering through extInput:
-// a closure the core schedules for itself (cache-fill completions, retry
-// backoffs, drain polls) mutates core state when it fires, which from the
-// lazy kernel's point of view is external input like any other.
-func (p *Pipeline) after(d sim.Cycle, fn func()) {
-	p.eng.After(d, func() {
-		p.extInput()
-		fn()
-	})
-}
-
-// afterDesc is after with a snapshot descriptor attached to the event.
-func (p *Pipeline) afterDesc(d sim.Cycle, desc sim.Desc, fn func()) {
-	p.eng.AfterDesc(d, desc, func() {
-		p.extInput()
-		fn()
-	})
-}
-
 // SetOwner records the owning node's id; it is stamped into every event
-// descriptor the core schedules so a snapshot can route the event back.
+// descriptor the core schedules so the machine can route the event back.
 func (p *Pipeline) SetOwner(o int32) { p.owner = o }
 
 // SetRemoteHome installs the machine's home-directory predicate: it reports
@@ -717,15 +696,6 @@ func (p *Pipeline) refillBound(addr uint64) (sim.Cycle, refillStatus) {
 		return 0, refillUnknown // delivery fired; completion may be local now
 	}
 	return due, refillPending
-}
-
-// settled wraps a callback handed to the downstream memory system so it
-// re-enters through extInput when the miss resolves.
-func (p *Pipeline) settled(fn func()) func() {
-	return func() {
-		p.extInput()
-		fn()
-	}
 }
 
 // NextWork implements sim.Quiescer. The core is busy whenever its last

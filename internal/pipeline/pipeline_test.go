@@ -39,24 +39,57 @@ type mockDown struct {
 	fired []uint32
 }
 
+// Event kinds the scripted memory system schedules for its own replies,
+// above every kind a real component claims.
+const (
+	kMockRefill uint8 = 200 + iota
+	kMockUpgrade
+	kMockWBAck
+)
+
+// newMockEngine returns an engine whose fire function runs the mock's own
+// replies and hands every other descriptor to the pipeline, as a machine's
+// does.
+func newMockEngine(d *mockDown) *sim.Engine {
+	d.eng = sim.NewEngine(d.fire)
+	return d.eng
+}
+
+func (d *mockDown) fire(dc sim.Desc) {
+	switch dc.Kind {
+	case kMockRefill:
+		d.p.DeliverRefill(dc.Args[0], cache.Exclusive, 0, false)
+	case kMockUpgrade:
+		d.p.DeliverRefill(dc.Args[0], cache.Exclusive, 0, true)
+	case kMockWBAck:
+		d.p.DeliverWBAck(dc.Args[0])
+	default:
+		d.p.Fire(dc)
+	}
+}
+
 func (d *mockDown) EnqueueLocal(t uint8, line uint64) bool {
 	m := &network.Message{Type: t, Addr: line}
 	d.msgs = append(d.msgs, m)
 	if d.auto {
+		reply := sim.Desc{Args: [6]uint64{line}}
 		switch coherence.MsgType(m.Type) {
 		case coherence.MsgPIRead, coherence.MsgPIWrite:
-			d.eng.After(d.delay, func() { d.p.DeliverRefill(line, cache.Exclusive, 0, false) })
+			reply.Kind = kMockRefill
 		case coherence.MsgPIUpgrade:
-			d.eng.After(d.delay, func() { d.p.DeliverRefill(line, cache.Exclusive, 0, true) })
+			reply.Kind = kMockUpgrade
 		case coherence.MsgPIWriteback:
-			d.eng.After(d.delay, func() { d.p.DeliverWBAck(line) })
+			reply.Kind = kMockWBAck
+		default:
+			return true
 		}
+		d.eng.After(d.delay, reply)
 	}
 	return true
 }
-func (d *mockDown) ProtocolMiss(line uint64, dc sim.Desc, cb func()) { d.eng.After(d.delay, cb) }
-func (d *mockDown) IMiss(line uint64, dc sim.Desc, cb func())        { d.eng.After(d.delay, cb) }
-func (d *mockDown) FireEffect(h uint32)                              { d.fired = append(d.fired, h) }
+func (d *mockDown) ProtocolMiss(line uint64, dc sim.Desc) { d.eng.After(d.delay, dc) }
+func (d *mockDown) IMiss(line uint64, dc sim.Desc)        { d.eng.After(d.delay, dc) }
+func (d *mockDown) FireEffect(h uint32)                   { d.fired = append(d.fired, h) }
 
 type alwaysSync struct{ ready bool }
 
@@ -70,8 +103,8 @@ type rig struct {
 }
 
 func newRig(appThreads int, smtp bool) *rig {
-	eng := sim.NewEngine()
-	down := &mockDown{eng: eng, auto: true, delay: 100}
+	down := &mockDown{auto: true, delay: 100}
+	eng := newMockEngine(down)
 	syn := &alwaysSync{ready: true}
 	cfg := DefaultConfig(appThreads, smtp)
 	p := New(cfg, eng, down, syn)
@@ -611,14 +644,7 @@ func TestAppDoneRequiresDrain(t *testing.T) {
 // than any handler can emit is a decode error, never an allocation sized
 // from the saved length.
 func TestLoadStateRejectsCorruptHandlerTrace(t *testing.T) {
-	saveInstr := func(e *snapshot.Encoder, in *isa.Instr) {
-		e.U64(in.PC)
-		e.U8(uint8(in.Op))
-		e.U8(uint8(in.Flags))
-	}
-	loadInstr := func(d *snapshot.Decoder) isa.Instr {
-		return isa.Instr{PC: d.U64(), Op: isa.Op(d.U8()), Flags: isa.Flags(d.U8())}
-	}
+	saveInstr, loadInstr := saveTestInstr, loadTestInstr
 	r := newRig(1, true)
 	tr := protoTrace(1<<41, 0, 3)
 	r.p.Backend().Start(tr)

@@ -281,10 +281,6 @@ func (p *Pipeline) readyIndex(isFP bool, r int16) int16 {
 	return r
 }
 
-func (p *Pipeline) isReady(isFP bool, r int16) bool {
-	return r < 0 || p.ready[p.readyIndex(isFP, r)]
-}
-
 // Issue-queue wake bits (Pipeline.qWake and Pipeline.waiters).
 const (
 	wakeInt uint8 = 1 << iota

@@ -15,8 +15,8 @@ import (
 
 // Event-descriptor kinds claimed by the pipeline (range 1..31; the network's
 // delivery kind is 32 and memory-controller kinds start at 64, DESIGN.md §14).
-// Each kind's arguments identify the event completely: rehydration rebuilds
-// the closure from the descriptor plus restored component state.
+// Each kind's arguments identify the event completely: Fire runs it from
+// the descriptor plus the core's state, live and after a restore alike.
 const (
 	// KSendPIRetry retries a processor-interface enqueue that found the
 	// local queue full. Args: message type, line.
@@ -92,58 +92,78 @@ func (p *Pipeline) storePollDesc(uopSeq, line uint64) sim.Desc {
 	return p.desc2(KStorePoll, uopSeq, line)
 }
 
-// Rehydrate rebuilds the closure of a snapshotted pipeline event and
-// re-injects it with its original heap key. Events carrying a uop reference
-// resolve it through the restoreUops index LoadState builds; the machine
-// calls FinishRestore once every event is back.
-func (p *Pipeline) Rehydrate(at sim.Cycle, pos [3]uint64, seq uint64, d sim.Desc) error {
-	var fn func()
+// Fire runs one of the core's scheduled events: its own retries, backoffs,
+// fills and drain polls, and the completions the memory system schedules
+// on its behalf (ProtocolMiss, IMiss). Every one mutates core state from
+// outside Tick, so it enters through extInput first.
+func (p *Pipeline) Fire(d sim.Desc) {
+	p.extInput()
+	a := &d.Args
 	switch d.Kind {
 	case KSendPIRetry:
-		t, line := coherence.MsgType(d.Args[0]), d.Args[1]
-		fn = func() { p.sendPI(t, line) }
+		p.sendPI(coherence.MsgType(a[0]), a[1])
 	case KIFill:
-		tid, line := int(d.Args[0]), d.Args[1]
-		fn = func() { p.iFill(tid, line) }
+		p.iFill(int(a[0]), a[1])
 	case KIFillL2:
-		tid, line, l2line := int(d.Args[0]), d.Args[1], d.Args[2]
-		fn = func() { p.iFillL2(tid, line, l2line) }
+		p.iFillL2(int(a[0]), a[1], a[2])
 	case KProtoRetry:
-		var u *uop
-		if d.Args[0]&protoHasUop != 0 {
-			u = p.restoreUops[d.Args[1]]
-			if u == nil {
-				return fmt.Errorf("pipeline: proto retry references unknown uop seq %d", d.Args[1])
-			}
+		u, ok := p.retryUop(d)
+		if !ok {
+			panic(fmt.Sprintf("pipeline: proto retry references unknown uop seq %d", a[1]))
 		}
-		line, addr := d.Args[2], d.Args[3]
-		isStore := d.Args[0]&protoIsStore != 0
-		fn = func() { p.protoL2Miss(u, line, addr, isStore) }
+		p.protoL2Miss(u, a[2], a[3], a[0]&protoIsStore != 0)
 	case KProtoDone:
-		line, addr := d.Args[0], d.Args[1]
-		fn = func() { p.protoMissDone(line, addr) }
+		p.protoMissDone(a[0], a[1])
 	case KNakRetry:
-		line, gen := d.Args[0], d.Args[1]
-		fn = func() { p.nakRetry(line, gen) }
+		p.nakRetry(a[0], a[1])
 	case KStorePoll:
-		uopSeq, line := d.Args[0], d.Args[1]
-		fn = func() { p.storePoll(uopSeq, line) }
+		p.storePoll(a[0], a[1])
 	default:
-		return fmt.Errorf("pipeline: unknown event kind %d", d.Kind)
+		panic(fmt.Sprintf("pipeline: unknown event kind %d", d.Kind))
 	}
-	// Every live-path event re-enters through extInput (after/afterDesc wrap
-	// their callback; downstream completions go through settled); rehydrated
-	// closures get the identical wrapper.
-	p.eng.RestoreEvent(at, pos, seq, d, func() {
-		p.extInput()
-		fn()
-	})
-	return nil
 }
 
-// FinishRestore drops restore-only indices once the machine has rehydrated
-// every event.
-func (p *Pipeline) FinishRestore() { p.restoreUops = nil }
+// retryUop resolves the uop a KProtoRetry descriptor names by sequence
+// number (nil when it names none). The uop is a protocol-thread load
+// waiting out the retry timer: issued but not done, so it sits in the
+// protocol thread's active list, and it is never squashed (only wrong-path
+// dummies are).
+func (p *Pipeline) retryUop(d sim.Desc) (*uop, bool) {
+	if d.Args[0]&protoHasUop == 0 {
+		return nil, true
+	}
+	if p.proto == nil {
+		return nil, false
+	}
+	t := p.threads[p.ProtoTID()]
+	for i := 0; i < t.robCount; i++ {
+		if u := t.rob[(t.robHead+i)%len(t.rob)]; u.seq == d.Args[1] {
+			return u, true
+		}
+	}
+	return nil, false
+}
+
+// CheckEvent validates a snapshotted pipeline descriptor against the
+// restored core before restore pushes it, so a corrupt one fails the
+// restore instead of panicking when it fires.
+func (p *Pipeline) CheckEvent(d sim.Desc) error {
+	switch d.Kind {
+	case KSendPIRetry, KProtoDone, KNakRetry, KStorePoll:
+		return nil
+	case KIFill, KIFillL2:
+		if tid := d.Args[0]; tid >= uint64(len(p.threads)) {
+			return fmt.Errorf("pipeline: instruction fill for context %d, core has %d", tid, len(p.threads))
+		}
+		return nil
+	case KProtoRetry:
+		if _, ok := p.retryUop(d); !ok {
+			return fmt.Errorf("pipeline: proto retry references unknown uop seq %d", d.Args[1])
+		}
+		return nil
+	}
+	return fmt.Errorf("pipeline: unknown event kind %d", d.Kind)
+}
 
 // collectUops gathers every live uop reachable from the core's containers,
 // in a fixed walk order, deduplicated by sequence number (unique per uop).
@@ -608,12 +628,12 @@ func (p *Pipeline) SaveState(e *snapshot.Encoder, saveInstr func(*snapshot.Encod
 
 // LoadState restores state saved by SaveState into a core built from the
 // identical Config. Restored uops are indexed by sequence number in
-// restoreUops so event rehydration (and this method's own back-references)
-// can resolve them; the machine calls FinishRestore when rehydration ends.
+// restoreUops while the method's own back-references resolve against them.
 func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder) isa.Instr) {
 	d.Expect("pipe")
 
 	p.restoreUops = make(map[uint64]*uop)
+	defer func() { p.restoreUops = nil }()
 	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
 		u := p.loadUop(d, loadInstr)
 		p.restoreUops[u.seq] = u

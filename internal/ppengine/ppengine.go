@@ -115,14 +115,6 @@ func (e *Engine) Start(trace []isa.Instr) bool {
 	return true
 }
 
-// DirHits and friends expose cache statistics.
-func (e *Engine) DirHits() uint64 {
-	if e.dir == nil {
-		return 0
-	}
-	return e.dir.hits
-}
-
 // DirMisses returns directory data cache misses (0 when perfect).
 func (e *Engine) DirMisses() uint64 {
 	if e.dir == nil {

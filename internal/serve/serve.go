@@ -22,6 +22,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -221,10 +222,13 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := cfg.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	// A body is exactly one spec: anything after it but whitespace (a
+	// second document, trailing garbage) is rejected, never ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "request body holds data after the run spec")
 		return
 	}
+	// Hash canonicalizes, which validates: a bad spec fails here.
 	h, err := cfg.Hash()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

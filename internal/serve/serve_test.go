@@ -199,6 +199,8 @@ func TestBadSpecsRejected(t *testing.T) {
 		`{"app":"FFT","protocol":"mesi"}`,    // unregistered protocol
 		`{"app":"FFT","nodes":-1}`,           // invalid value
 		`not json`,
+		smallSpec + `{"app":"LU"}`,      // a second spec after the first
+		smallSpec + ` trailing-garbage`, // garbage after the spec
 	}
 	for _, spec := range bad {
 		if r, body := post(t, ts.URL+"/v1/runs", spec); r.StatusCode != http.StatusBadRequest {

@@ -14,12 +14,12 @@ import "testing"
 // backlog: each operation schedules 8 events spread over the next 8
 // cycles and steps once, so every cycle fires 8 events.
 func BenchmarkDenseEvents(b *testing.B) {
-	e := NewEngine()
-	fn := func() {}
+	e := NewEngine(func(Desc) {})
+	d := Desc{Kind: 1}
 	// Prime the backlog so the timed region runs at steady state.
 	for i := 0; i < 8; i++ {
 		for j := Cycle(1); j <= 8; j++ {
-			e.Schedule(e.Now()+j, fn)
+			e.Schedule(e.Now()+j, d)
 		}
 		e.Step()
 	}
@@ -27,7 +27,7 @@ func BenchmarkDenseEvents(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := Cycle(1); j <= 8; j++ {
-			e.Schedule(e.Now()+j, fn)
+			e.Schedule(e.Now()+j, d)
 		}
 		e.Step()
 	}
@@ -36,18 +36,18 @@ func BenchmarkDenseEvents(b *testing.B) {
 // BenchmarkSparseEvents measures the skipping path: one event every 1000
 // cycles with nothing clocked. Each operation schedules, jumps the gap,
 // and fires. The -benchmem allocation count pins the no-per-event-
-// allocation property (the callback is shared and the heap's backing
-// slice is reused).
+// allocation property (the heap's and the descriptor arena's backing
+// slices are reused).
 func BenchmarkSparseEvents(b *testing.B) {
-	e := NewEngine()
 	fired := 0
-	fn := func() { fired++ }
-	e.Schedule(e.Now()+1, fn)
+	e := NewEngine(func(Desc) { fired++ })
+	d := Desc{Kind: 1}
+	e.Schedule(e.Now()+1, d)
 	e.Step() // warm the heap's backing slice
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+1000, fn)
+		e.Schedule(e.Now()+1000, d)
 		e.Advance(NoWork)
 	}
 	b.StopTimer()
@@ -59,12 +59,12 @@ func BenchmarkSparseEvents(b *testing.B) {
 // BenchmarkSparseEventsReference steps the same sparse workload cycle by
 // cycle — the cost the skipping engine avoids.
 func BenchmarkSparseEventsReference(b *testing.B) {
-	e := NewReferenceEngine()
-	fn := func() {}
+	e := NewReferenceEngine(func(Desc) {})
+	d := Desc{Kind: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+1000, fn)
+		e.Schedule(e.Now()+1000, d)
 		for j := 0; j < 1000; j++ {
 			e.Step()
 		}
@@ -86,7 +86,7 @@ func (c *benchIdleComp) Skipped(n uint64, _ Cycle) { c.cycles += n }
 // BenchmarkAllQuiescent measures the jump cost of a 16-component machine
 // with nothing to do: each operation covers 4096 simulated cycles.
 func BenchmarkAllQuiescent(b *testing.B) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	comps := make([]*benchIdleComp, 16)
 	for i := range comps {
 		comps[i] = &benchIdleComp{}
@@ -109,7 +109,7 @@ func BenchmarkAllQuiescent(b *testing.B) {
 // BenchmarkAllQuiescentReference ticks the same 16 idle components every
 // cycle, 4096 cycles per operation.
 func BenchmarkAllQuiescentReference(b *testing.B) {
-	e := NewReferenceEngine()
+	e := NewReferenceEngine(nil)
 	for i := 0; i < 16; i++ {
 		e.AddClocked(&benchIdleComp{}, 1, 0)
 	}

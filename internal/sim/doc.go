@@ -20,16 +20,23 @@
 //     controllers every ClockDiv cycles; an optional metrics recorder
 //     (machine.Config.SampleInterval) ticks at the sampling interval.
 //   - One-shot events (Schedule/After) model point latencies: a network
-//     hop completing, SDRAM data becoming ready. Same-cycle events fire in
-//     scheduling order, which keeps cross-component races deterministic.
+//     hop completing, SDRAM data becoming ready. An event is nothing but
+//     its descriptor (Desc: owner, kind, packed arguments); when it comes
+//     due the engine hands the descriptor to the fire function it was
+//     built with, which routes it to the component that scheduled it. The
+//     same descriptor is what a snapshot stores and restore pushes back,
+//     so live and restored events run the same code. Same-cycle events
+//     fire in scheduling order, which keeps cross-component races
+//     deterministic.
 //   - Busy-until scalars live inside components (SDRAM banks, network
 //     links): cheap bandwidth modeling with no events at all.
 //
 // The kernel is event-driven with cycle skipping: the event queue is a
-// monomorphic 4-ary min-heap (no boxing, no per-Push allocation at steady
-// state), each clocked component carries a precomputed next-tick due time
-// instead of being modulo-scanned every cycle, and components that
-// implement Quiescer can declare themselves idle until a future cycle.
+// monomorphic 4-ary min-heap of pointer-free 48-byte entries (no boxing,
+// no per-Push allocation at steady state), each clocked component
+// carries a precomputed next-tick due time instead of being
+// modulo-scanned every cycle, and components that implement Quiescer can
+// declare themselves idle until a future cycle.
 // When every component is quiescent and no event is due, Run jumps
 // straight to the earliest due time, handing SkipAware components the
 // count of elided ticks so per-cycle deltas (cycle counters, occupancy

@@ -35,7 +35,7 @@ func (d *busyDriver) Tick(now Cycle) { d.ticks++ }
 // neighbour keeps the engine stepping; FlushDeferred settles the whole
 // window with the last elided cycle, not the flush cycle.
 func TestLazyDeferralFlush(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	d := &busyDriver{}
 	c := &lazyTestComp{next: NoWork}
 	e.AddClocked(d, 1, 0)
@@ -66,16 +66,16 @@ func TestLazyDeferralFlush(t *testing.T) {
 // component) splits the window: elided ticks settle up to the cycle before
 // the input, and the component ticks live from the input cycle on.
 func TestLazyDeferralSettleOnEvent(t *testing.T) {
-	e := NewEngine()
+	e, fns := newTestEngine()
 	d := &busyDriver{}
 	c := &lazyTestComp{next: NoWork}
 	e.AddClocked(d, 1, 0)
 	e.AddClocked(c, 1, 0)
 	h := e.MakeLazy(c)
-	e.Schedule(6, func() {
+	e.Schedule(6, fns.desc(func() {
 		h.Settle()
 		c.busy = true
-	})
+	}))
 	e.Run(10)
 	if len(c.skipN) != 1 || c.skipN[0] != 5 || c.skipL[0] != 5 {
 		t.Fatalf("event settled (n,last) = (%v,%v); want (5,5)", c.skipN, c.skipL)
@@ -95,7 +95,7 @@ func TestLazyDeferralSettleOnEvent(t *testing.T) {
 // the current cycle in the settlement: the reference engine would already
 // have ticked the earlier component (idly) before the input arrived.
 func TestLazyDeferralSettleFromLaterComponent(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	c := &lazyTestComp{next: NoWork}
 	e.AddClocked(c, 1, 0) // index 0: slot passes before the driver's
 	var h *TickHandle
@@ -119,7 +119,7 @@ func TestLazyDeferralSettleFromLaterComponent(t *testing.T) {
 // A finite next-work answer bounds the window: the declared cycle runs as
 // a live tick with the elided prefix settled first.
 func TestLazyDeferralWindowEnd(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	d := &busyDriver{}
 	c := &lazyTestComp{next: 4}
 	e.AddClocked(d, 1, 0)
@@ -144,7 +144,7 @@ func TestLazyDeferralWindowEnd(t *testing.T) {
 
 // The reference engine hands out inert handles: every tick runs live.
 func TestLazyDeferralReferenceInert(t *testing.T) {
-	e := NewReferenceEngine()
+	e := NewReferenceEngine(nil)
 	c := &lazyTestComp{next: NoWork}
 	e.AddClocked(c, 1, 0)
 	h := e.MakeLazy(c)
@@ -158,7 +158,7 @@ func TestLazyDeferralReferenceInert(t *testing.T) {
 
 // MakeLazy refuses components that cannot settle their own elided ticks.
 func TestMakeLazyRequiresSkipAware(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	d := &busyDriver{}
 	e.AddClocked(d, 1, 0)
 	defer func() {

@@ -76,17 +76,13 @@ type event struct {
 	// engines, where ordering degenerates to the classic (at, seq) FIFO.
 	pos [3]uint64
 	seq uint64
-	fn  func()
-	// desc, when non-zero, identifies the event for snapshot/restore (see
-	// Desc in state.go): a 1-based handle into the engine's descriptor
-	// arena, not an inline value and not a pointer. Descriptors are 56
-	// bytes and the event struct is copied on every heap push/pop/sift,
-	// so keeping them out of line keeps the copy cost down — and keeping
-	// the handle an integer keeps the event heap free of GC-visible words
-	// beyond fn, so heap swaps take no write barriers for it and the
-	// collector never traces per-event descriptor objects. Events
-	// scheduled without a descriptor cannot be exported; ExportState
-	// reports them as an error.
+	// desc is the event itself: an index into the engine's descriptor
+	// arena (see Desc in state.go), handed to the engine's fire function
+	// when the event comes due. Descriptors are 56 bytes and the event
+	// struct is copied on every heap push/pop/sift, so keeping them out of
+	// line keeps the copy cost down; keeping the handle an integer leaves
+	// the heap without a single pointer, so heap swaps take no write
+	// barriers and the collector never scans it.
 	desc uint32
 }
 
@@ -123,6 +119,7 @@ func eventLess(a, b event) bool {
 type Engine struct {
 	now       Cycle
 	seq       uint64
+	fire      func(Desc) // runs each due event (see NewEngine)
 	comps     []clockedEntry
 	extras    []Quiescer // unclocked components consulted before skipping
 	events    []event    // 4-ary min-heap ordered by eventLess
@@ -140,12 +137,12 @@ type Engine struct {
 	tagBase uint64
 
 	// descs is the arena backing the out-of-line Desc records events carry
-	// (see the event struct); an event's desc handle is an index+1 into it.
+	// (see the event struct); an event's desc handle is an index into it.
 	// descFree recycles handles: a fired or discarded event's slot returns
-	// here and the next ScheduleDesc-family call reuses it, so
-	// descriptor-carrying scheduling is allocation-free once the arena has
-	// grown to the high-water mark. Engine-local, like the event heap
-	// itself — and pointer-free, so the collector scans neither.
+	// here and the next Schedule-family call reuses it, so scheduling is
+	// allocation-free once the arena has grown to the high-water mark.
+	// Engine-local, like the event heap itself — and pointer-free, so the
+	// collector scans neither.
 	descs    []Desc
 	descFree []uint32
 
@@ -158,23 +155,25 @@ type Engine struct {
 	scanPos int
 }
 
-// NewEngine returns an engine at cycle 0 with no components. Run and
-// Advance skip quiescent cycles (see Quiescer); behaviour is defined to be
-// identical to the reference engine's.
-func NewEngine() *Engine {
-	return &Engine{}
+// NewEngine returns an engine at cycle 0 with no components. fire runs
+// every scheduled event when it comes due, in the engine's firing order:
+// the owner of the engine routes each descriptor to the component that
+// scheduled it. Run and Advance skip quiescent cycles (see Quiescer);
+// behaviour is defined to be identical to the reference engine's.
+func NewEngine(fire func(Desc)) *Engine {
+	return &Engine{fire: fire}
 }
 
 // NewReferenceEngine returns an engine with cycle skipping and lazy
 // deferral switched off: Advance, Run and JumpTo step every cycle,
 // SkipBound always answers the next cycle, and MakeLazy hands out inert
-// handles, so every component ticks live at every due cycle. Events and
-// clocked components share the skipping engine's code paths. It exists as
-// the behavioural oracle for the skipping engine: the differential tests
-// run both over the bench suite and assert equal cycle counts and
-// byte-identical metrics.
-func NewReferenceEngine() *Engine {
-	return &Engine{reference: true}
+// handles, so every component ticks live at every due cycle. Events
+// (fired through fire, as on NewEngine) and clocked components share the
+// skipping engine's code paths. It exists as the behavioural oracle for
+// the skipping engine: the differential tests run both over the bench
+// suite and assert equal cycle counts and byte-identical metrics.
+func NewReferenceEngine(fire func(Desc)) *Engine {
+	return &Engine{fire: fire, reference: true}
 }
 
 // Now returns the current cycle.
@@ -218,25 +217,22 @@ func (e *Engine) EnableKeys(tagBase uint64) {
 	e.tagBase = tagBase
 }
 
-// Keyed reports whether EnableKeys has been called.
-func (e *Engine) Keyed() bool { return e.keyed }
-
 // Pos returns the engine's current execution-context position (all-zero
 // unless EnableKeys is active). The network's cross-shard staging captures
 // it at Send time so a replayed delivery carries its sender's global
 // scheduling position.
 func (e *Engine) Pos() [3]uint64 { return e.ctx }
 
-// ScheduleKeyed runs fn at the given absolute cycle with an explicit
+// ScheduleKeyed fires d at the given absolute cycle with an explicit
 // scheduling-context position — the cross-shard injection primitive: the
 // quantum coordinator replays a staged send by scheduling its delivery on
 // the destination shard's engine under the sender's captured position.
-func (e *Engine) ScheduleKeyed(at Cycle, pos [3]uint64, fn func()) {
+func (e *Engine) ScheduleKeyed(at Cycle, pos [3]uint64, d Desc) {
 	if at <= e.now {
 		panic(fmt.Sprintf("sim: schedule at %d but now is %d", at, e.now))
 	}
 	e.seq++
-	e.pushEvent(event{at: at, pos: pos, seq: e.seq, fn: fn})
+	e.pushEvent(event{at: at, pos: pos, seq: e.seq, desc: e.takeDesc(d)})
 }
 
 // SkipBound returns the earliest cycle (capped at limit) at which anything
@@ -379,23 +375,16 @@ func lazyBound(now, next, period Cycle) Cycle {
 }
 
 // takeDesc copies d into an arena slot (reusing a freed one when
-// available) and returns the 1-based handle an event will carry.
+// available) and returns the handle an event will carry.
 func (e *Engine) takeDesc(d Desc) uint32 {
 	if n := len(e.descFree); n > 0 {
 		h := e.descFree[n-1]
 		e.descFree = e.descFree[:n-1]
-		e.descs[h-1] = d
+		e.descs[h] = d
 		return h
 	}
 	e.descs = append(e.descs, d)
-	return uint32(len(e.descs))
-}
-
-// putDesc returns an event's descriptor slot (if any) to the free-list.
-func (e *Engine) putDesc(h uint32) {
-	if h != 0 {
-		e.descFree = append(e.descFree, h)
-	}
+	return uint32(len(e.descs) - 1)
 }
 
 // pushEvent inserts ev into the 4-ary heap.
@@ -413,14 +402,12 @@ func (e *Engine) pushEvent(ev event) {
 	}
 }
 
-// popEvent removes and returns the earliest event. The vacated tail slot
-// is zeroed so the heap does not pin the callback closure.
+// popEvent removes and returns the earliest event.
 func (e *Engine) popEvent() event {
 	h := e.events
 	ev := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{}
 	e.events = h[:last]
 	e.siftDown(0)
 	return ev
@@ -452,24 +439,24 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// Schedule runs fn at the given absolute cycle. Scheduling in the past (or
+// Schedule fires d at the given absolute cycle. Scheduling in the past (or
 // the current cycle, before events have drained) is an error that panics:
 // same-cycle work should be done inline by the caller.
-func (e *Engine) Schedule(at Cycle, fn func()) {
+func (e *Engine) Schedule(at Cycle, d Desc) {
 	if at <= e.now {
 		panic(fmt.Sprintf("sim: schedule at %d but now is %d", at, e.now))
 	}
 	e.seq++
-	e.pushEvent(event{at: at, pos: e.ctx, seq: e.seq, fn: fn})
+	e.pushEvent(event{at: at, pos: e.ctx, seq: e.seq, desc: e.takeDesc(d)})
 }
 
-// After runs fn delay cycles from now. A zero delay is rounded up to one
+// After fires d delay cycles from now. A zero delay is rounded up to one
 // cycle — "as soon as possible, but never within the current cycle" —
 // matching Schedule's rule that same-cycle work is done inline by the
 // caller rather than through the event queue. After panics if now+delay
 // wraps around the Cycle range, since the wrapped due-time would land in
 // the past.
-func (e *Engine) After(delay Cycle, fn func()) {
+func (e *Engine) After(delay Cycle, d Desc) {
 	if delay == 0 {
 		delay = 1
 	}
@@ -477,14 +464,11 @@ func (e *Engine) After(delay Cycle, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: After(%d) at cycle %d wraps past the end of simulated time", delay, e.now))
 	}
-	e.Schedule(at, fn)
+	e.Schedule(at, d)
 }
 
 // Stop makes Run return after the current cycle completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step advances one cycle: the cycle counter increments, due events fire in
 // scheduling order, then clocked components whose period divides the new
@@ -501,8 +485,9 @@ func (e *Engine) Step() {
 		if e.keyed {
 			e.ctx = [3]uint64{2 * uint64(e.now), ev.pos[0], ev.pos[1]}
 		}
-		ev.fn()
-		e.putDesc(ev.desc)
+		d := e.descs[ev.desc]
+		e.descFree = append(e.descFree, ev.desc)
+		e.fire(d)
 	}
 	for i := range comps {
 		e.scanPos = i

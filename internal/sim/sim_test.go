@@ -1,12 +1,31 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
+// closures is the tests' fire function: each descriptor made by desc
+// names, in its first argument, the closure to run when it fires.
+type closures struct{ fns []func() }
+
+func (c *closures) desc(fn func()) Desc {
+	c.fns = append(c.fns, fn)
+	return Desc{Kind: 1, Args: [6]uint64{uint64(len(c.fns) - 1)}}
+}
+
+func (c *closures) fire(d Desc) { c.fns[d.Args[0]]() }
+
+// newTestEngine returns a skipping engine that fires closures.
+func newTestEngine() (*Engine, *closures) {
+	c := &closures{}
+	return NewEngine(c.fire), c
+}
+
 func TestEngineStepOrdering(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	var order []string
 	e.AddClocked(ClockedFunc(func(now Cycle) { order = append(order, "a") }), 1, 0)
 	e.AddClocked(ClockedFunc(func(now Cycle) { order = append(order, "b") }), 1, 0)
@@ -23,7 +42,7 @@ func TestEngineClockDividers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		e    *Engine
-	}{{"skipping", NewEngine()}, {"reference", NewReferenceEngine()}} {
+	}{{"skipping", NewEngine(nil)}, {"reference", NewReferenceEngine(nil)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.e
 			clocks := []struct{ period, phase Cycle }{{1, 0}, {2, 0}, {4, 0}, {2, 1}, {4, 3}, {5, 7}}
@@ -56,11 +75,11 @@ func TestEngineClockDividers(t *testing.T) {
 }
 
 func TestEngineEventsFireInOrder(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	var got []int
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(3, func() { got = append(got, 0) })
-	e.Schedule(5, func() { got = append(got, 2) }) // same cycle: FIFO by scheduling
+	e.Schedule(5, c.desc(func() { got = append(got, 1) }))
+	e.Schedule(3, c.desc(func() { got = append(got, 0) }))
+	e.Schedule(5, c.desc(func() { got = append(got, 2) })) // same cycle: FIFO by scheduling
 	for i := 0; i < 10; i++ {
 		e.Step()
 	}
@@ -73,9 +92,9 @@ func TestEngineEventsFireInOrder(t *testing.T) {
 }
 
 func TestEngineAfterAndStop(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	fired := false
-	e.After(10, func() { fired = true; e.Stop() })
+	e.After(10, c.desc(func() { fired = true; e.Stop() }))
 	n := e.Run(1000)
 	if !fired {
 		t.Fatal("event did not fire")
@@ -86,22 +105,22 @@ func TestEngineAfterAndStop(t *testing.T) {
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	e.Step()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(1, func() {})
+	e.Schedule(1, c.desc(func() {}))
 }
 
 func TestEngineEventDuringEvent(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	hits := 0
-	e.Schedule(1, func() {
-		e.Schedule(2, func() { hits++ })
-	})
+	e.Schedule(1, c.desc(func() {
+		e.Schedule(2, c.desc(func() { hits++ }))
+	}))
 	e.Step()
 	e.Step()
 	if hits != 1 {
@@ -114,10 +133,10 @@ func TestEngineEventDuringEvent(t *testing.T) {
 // cycle, never the current one), while the equivalent Schedule(now) call
 // panics.
 func TestAfterZeroAndScheduleNow(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	e.Step() // now = 1
 	var firedAt Cycle
-	e.After(0, func() { firedAt = e.Now() })
+	e.After(0, c.desc(func() { firedAt = e.Now() }))
 	e.Step()
 	if firedAt != 2 {
 		t.Fatalf("After(0) fired at cycle %d, want 2 (next cycle)", firedAt)
@@ -127,13 +146,13 @@ func TestAfterZeroAndScheduleNow(t *testing.T) {
 			t.Fatal("Schedule(now) did not panic")
 		}
 	}()
-	e.Schedule(e.Now(), func() {})
+	e.Schedule(e.Now(), c.desc(func() {}))
 }
 
 // TestAfterWraparoundPanics pins that a delay large enough to wrap the
 // Cycle range panics instead of silently landing in the past.
 func TestAfterWraparoundPanics(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	// With no components and no events the engine jumps straight to the
 	// horizon, so simulated time can reach the top of the Cycle range.
 	e.Run(NoWork - 10)
@@ -145,7 +164,7 @@ func TestAfterWraparoundPanics(t *testing.T) {
 			t.Fatal("wrapped After did not panic")
 		}
 	}()
-	e.After(20, func() {})
+	e.After(20, c.desc(func() {}))
 }
 
 // quiescentComp is idle (NoWork) unless busyUntil lies ahead; its per-cycle
@@ -171,11 +190,11 @@ func (c *quiescentComp) NextWork(now Cycle) (Cycle, bool) {
 func (c *quiescentComp) Skipped(n uint64, _ Cycle) { c.cycles += n }
 
 func TestEngineSkipsQuiescentCycles(t *testing.T) {
-	e := NewEngine()
+	e, fns := newTestEngine()
 	c := &quiescentComp{busyUntil: 5}
 	e.AddClocked(c, 1, 0)
 	woke := Cycle(0)
-	e.Schedule(1000, func() { woke = e.Now(); c.busyUntil = e.Now() + 3 })
+	e.Schedule(1000, fns.desc(func() { woke = e.Now(); c.busyUntil = e.Now() + 3 }))
 	n := e.Run(2000)
 	if n != 2000 || e.Now() != 2000 {
 		t.Fatalf("ran %d cycles to %d, want 2000", n, e.Now())
@@ -214,7 +233,7 @@ func (c *roundingComp) NextWork(now Cycle) (Cycle, bool) {
 func (c *roundingComp) Skipped(n uint64, _ Cycle) { c.skips += n }
 
 func TestSkipRoundsUpToPeriod(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(nil)
 	c := &roundingComp{}
 	e.AddClocked(c, 3, 0)
 	e.Run(30)
@@ -244,12 +263,12 @@ func (g *busyGate) NextWork(Cycle) (Cycle, bool) {
 }
 
 func TestAddQuiescerGatesSkipping(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	idle := &quiescentComp{}
 	e.AddClocked(idle, 1, 0)
 	gate := &busyGate{busy: true}
 	e.AddQuiescer(gate)
-	e.Schedule(50, func() { gate.busy = false })
+	e.Schedule(50, c.desc(func() { gate.busy = false }))
 	e.Run(100)
 	if e.SkippedCycles() == 0 {
 		t.Fatal("no cycles skipped after the gate opened")
@@ -270,6 +289,7 @@ func TestAddQuiescerGatesSkipping(t *testing.T) {
 // way on each.
 type scriptedComp struct {
 	e      *Engine
+	fns    *closures
 	r      *Rand
 	busy   Cycle
 	cycles uint64
@@ -285,11 +305,11 @@ func (c *scriptedComp) Tick(now Cycle) {
 	if c.r.Intn(3) == 0 {
 		delay := Cycle(c.r.Intn(60) + 1)
 		ext := Cycle(c.r.Intn(20) + 1)
-		c.e.After(delay, func() {
+		c.e.After(delay, c.fns.desc(func() {
 			if until := c.e.Now() + ext; until > c.busy {
 				c.busy = until
 			}
-		})
+		}))
 	}
 }
 
@@ -307,9 +327,11 @@ func (c *scriptedComp) Skipped(n uint64, _ Cycle) { c.cycles += n }
 // behaviour: same active-tick trace, same per-cycle counters, same final
 // time — while the skipping engine actually skips.
 func TestSkippingMatchesReference(t *testing.T) {
-	run := func(e *Engine) (*scriptedComp, *scriptedComp, *quiescentComp) {
-		a := &scriptedComp{e: e, r: NewRand(11), busy: 20}
-		b := &scriptedComp{e: e, r: NewRand(23), busy: 35}
+	run := func(newEngine func(func(Desc)) *Engine) (*scriptedComp, *scriptedComp, *quiescentComp) {
+		fns := &closures{}
+		e := newEngine(fns.fire)
+		a := &scriptedComp{e: e, fns: fns, r: NewRand(11), busy: 20}
+		b := &scriptedComp{e: e, fns: fns, r: NewRand(23), busy: 35}
 		slow := &quiescentComp{} // period 8, permanently idle
 		e.AddClocked(a, 1, 0)
 		e.AddClocked(b, 2, 1)
@@ -317,8 +339,8 @@ func TestSkippingMatchesReference(t *testing.T) {
 		e.Run(5000)
 		return a, b, slow
 	}
-	fa, fb, fs := run(NewEngine())
-	ra, rb, rs := run(NewReferenceEngine())
+	fa, fb, fs := run(NewEngine)
+	ra, rb, rs := run(NewReferenceEngine)
 
 	cmp := func(name string, f, r *scriptedComp) {
 		if f.cycles != r.cycles {
@@ -344,7 +366,7 @@ func TestSkippingMatchesReference(t *testing.T) {
 // TestEventHeapOrder stress-tests the 4-ary heap: many events with random
 // due times must fire in (time, FIFO) order.
 func TestEventHeapOrder(t *testing.T) {
-	e := NewEngine()
+	e, c := newTestEngine()
 	r := NewRand(5)
 	type stamp struct {
 		at  Cycle
@@ -354,7 +376,7 @@ func TestEventHeapOrder(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		at := Cycle(r.Intn(500) + 1)
 		s := stamp{at: at, seq: i}
-		e.Schedule(at, func() { fired = append(fired, s) })
+		e.Schedule(at, c.desc(func() { fired = append(fired, s) }))
 	}
 	e.Run(600)
 	if len(fired) != 2000 {
@@ -365,6 +387,45 @@ func TestEventHeapOrder(t *testing.T) {
 		if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
 			t.Fatalf("event %d (%v) fired after %v", i, b, a)
 		}
+	}
+}
+
+// TestEventLayout pins the event heap's element: no field may hold a
+// pointer (a descriptor handle, not a callback, so heap sifts take no
+// write barriers and the collector never scans the heap) and the struct
+// stays 48 bytes.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 48 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 48", n)
+	}
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if hasPointers(f.Type) {
+			t.Errorf("event.%s (%v) holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t contains anything the
+// garbage collector must trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
 	}
 }
 

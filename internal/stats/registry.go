@@ -289,6 +289,3 @@ func (h *Histogram) Sum() float64 { return h.sum }
 // Bucket returns the non-cumulative count of bucket i (the bucket after
 // the last edge is the overflow bucket).
 func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the bucket count including the overflow bucket.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }

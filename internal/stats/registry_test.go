@@ -173,28 +173,3 @@ func TestRecorderRing(t *testing.T) {
 		t.Fatalf("bad series CSV:\n%s", csv.String())
 	}
 }
-
-func TestSetInsertionSortedAccessors(t *testing.T) {
-	s := NewSet()
-	for _, n := range []string{"delta", "alpha", "charlie", "bravo"} {
-		s.Counter(n).Inc()
-	}
-	if got := s.Names(); !reflect.DeepEqual(got, []string{"alpha", "bravo", "charlie", "delta"}) {
-		t.Fatalf("names = %v", got)
-	}
-	var order []string
-	s.Each(func(name string, c *Counter) {
-		order = append(order, name)
-		if c.Value() != 1 {
-			t.Fatalf("%s = %d", name, c.Value())
-		}
-	})
-	if !reflect.DeepEqual(order, s.Names()) {
-		t.Fatalf("Each order %v != Names %v", order, s.Names())
-	}
-	// Mutating the returned Names copy must not corrupt the set.
-	s.Names()[0] = "zzz"
-	if s.Names()[0] != "alpha" {
-		t.Fatal("Names returned the backing slice")
-	}
-}

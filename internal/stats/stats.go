@@ -4,12 +4,6 @@
 // and characterization tables.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // Counter is a monotonically increasing event count.
 //
 //simlint:shardlocal -- each instrument instance belongs to the component that registered it, which lives on exactly one shard; registries only read them at snapshot points with all shards parked
@@ -99,61 +93,4 @@ func Ratio(num, den uint64) float64 {
 // Percent returns 100*num/den, or 0 when den == 0.
 func Percent(num, den uint64) float64 {
 	return 100 * Ratio(num, den)
-}
-
-// Set is a named collection of counters, handy for dumping component state.
-// names is kept insertion-sorted so rendering and iteration never re-sort.
-type Set struct {
-	names    []string
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Counter returns (creating on first use) the counter with the given name.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	s.counters[name] = c
-	i := sort.SearchStrings(s.names, name)
-	s.names = append(s.names, "")
-	copy(s.names[i+1:], s.names[i:])
-	s.names[i] = name
-	return c
-}
-
-// Get returns the value of a named counter (zero if absent).
-func (s *Set) Get(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Names returns the counter names in sorted order. The returned slice is a
-// copy; callers may keep it.
-func (s *Set) Names() []string {
-	return append([]string(nil), s.names...)
-}
-
-// Each calls fn for every counter in sorted name order, so exporters never
-// reach into the backing map.
-func (s *Set) Each(fn func(name string, c *Counter)) {
-	for _, n := range s.names {
-		fn(n, s.counters[n])
-	}
-}
-
-// String renders the set sorted by name, one counter per line.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, n := range s.names {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.counters[n].Value())
-	}
-	return b.String()
 }

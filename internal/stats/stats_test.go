@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -68,22 +67,5 @@ func TestRatioAndPercent(t *testing.T) {
 	}
 	if Percent(1, 4) != 25 {
 		t.Fatal("percent wrong")
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Counter("b").Add(2)
-	s.Counter("a").Inc()
-	s.Counter("b").Inc()
-	if s.Get("a") != 1 || s.Get("b") != 3 || s.Get("missing") != 0 {
-		t.Fatalf("unexpected values: a=%d b=%d", s.Get("a"), s.Get("b"))
-	}
-	out := s.String()
-	if !strings.Contains(out, "a=1") || !strings.Contains(out, "b=3") {
-		t.Fatalf("bad string: %q", out)
-	}
-	if strings.Index(out, "a=") > strings.Index(out, "b=") {
-		t.Fatal("output not sorted")
 	}
 }
