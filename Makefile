@@ -1,19 +1,19 @@
 # Developer / CI entry points. `make check` is the full gate:
 # formatting, vet, the simlint static-analysis suite, build, the
-# unit/integration suite, the hot packages again with poolcheck message
-# poisoning, the whole suite again under the race detector, the METRICS.md
-# schema freshness, one iteration of three root benchmarks and of the
-# per-layer microbenchmarks (`make bench-smoke`), a run of every example
-# program (`make examples-smoke`), an end-to-end smoke of the simulation
-# service (`make serve-smoke`), a sharded-execution smoke (`make
-# shard-smoke`), a jittered barrier stress under the race detector (`make
-# shard-stress`), a checkpoint/restore smoke (`make snapshot-smoke`), and
-# the repository benchmark's own tests (`make perfbench-test`).
+# unit/integration suite, the whole suite again under the race detector,
+# the METRICS.md schema freshness, one iteration of three root benchmarks
+# and of the per-layer microbenchmarks (`make bench-smoke`), a run of
+# every example program (`make examples-smoke`), an end-to-end smoke of
+# the simulation service (`make serve-smoke`), a sharded-execution smoke
+# (`make shard-smoke`), a jittered barrier stress under the race detector
+# (`make shard-stress`), a checkpoint/restore smoke (`make
+# snapshot-smoke`), and the repository benchmark's own tests (`make
+# perfbench-test`).
 # Performance is measured by perfbench (BENCHMARK.json), not by this file.
 
 GO ?= go
 
-.PHONY: all build test vet fmt test-race test-poolcheck lint lint-fix-list metrics-schema metrics-schema-check bench-smoke examples-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
+.PHONY: all build test vet fmt test-race lint lint-fix-list metrics-schema metrics-schema-check bench-smoke examples-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test check
 
 all: build
 
@@ -25,12 +25,6 @@ test:
 
 vet:
 	$(GO) vet ./...
-
-# Pool-discipline gate: rebuilds the hot packages with poolcheck poisoning
-# of released messages and runs their suites, so any use-after-release or
-# double-release on the pooled paths panics instead of corrupting state.
-test-poolcheck:
-	$(GO) test -tags poolcheck ./internal/network/ ./internal/coherence/ ./internal/memctrl/ ./internal/pipeline/ ./internal/node/ ./internal/machine/
 
 # The runner fans simulations out across goroutines; the whole suite runs
 # under the race detector so nothing escapes the gate. The simulator is
@@ -93,11 +87,14 @@ shard-stress:
 # End-to-end smoke of checkpoint/restore (DESIGN.md §14): capture a
 # checkpoint mid-run through the real CLI, restore it at a different shard
 # count, and require the resumed run's metrics JSON to be byte-identical
-# to the uninterrupted run's.
+# to the uninterrupted run's. The files go to a private temporary
+# directory (one recipe line, so the variable survives), which is removed
+# whether or not the check passes.
 snapshot-smoke:
-	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -snapshot-at 1000 -snapshot-out /tmp/smtpsim_ck.bin -metrics /tmp/smtpsim_full.json >/dev/null
-	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -shards 2 -restore /tmp/smtpsim_ck.bin -metrics /tmp/smtpsim_resumed.json >/dev/null
-	cmp /tmp/smtpsim_full.json /tmp/smtpsim_resumed.json
+	d="$$(mktemp -d)" && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -snapshot-at 1000 -snapshot-out "$$d/ck.bin" -metrics "$$d/full.json" >/dev/null && \
+	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -shards 2 -restore "$$d/ck.bin" -metrics "$$d/resumed.json" >/dev/null && \
+	cmp "$$d/full.json" "$$d/resumed.json"
 
 # The repository benchmark (perfbench/, its own Go module, so `go test ./...`
 # at the root skips it) imports the simulator's internals: run its tests so
@@ -119,4 +116,4 @@ metrics-schema:
 metrics-schema-check:
 	$(GO) run ./cmd/metricsdoc -check
 
-check: fmt vet lint build test test-poolcheck test-race metrics-schema-check bench-smoke examples-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test
+check: fmt vet lint build test test-race metrics-schema-check bench-smoke examples-smoke serve-smoke shard-smoke shard-stress snapshot-smoke perfbench-test

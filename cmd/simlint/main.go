@@ -9,7 +9,7 @@
 //   - metricname: stats registration names follow the METRICS.md grammar;
 //   - apihygiene: internal/* never imports cmd/*; ctx first, error last;
 //     API config structs stay serializable;
-//   - hotalloc: hot packages use pooled messages and dense tables;
+//   - hotalloc: hot packages pass messages by value and use dense tables;
 //   - shardsafe: shard-window code touches only shard-owned state, and
 //     cross-shard effects funnel through sanctioned staging points
 //     (//simlint:shardlocal and //simlint:shardfunnel declare ownership).

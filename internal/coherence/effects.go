@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+
 	"smtpsim/internal/cache"
 	"smtpsim/internal/network"
 )
@@ -31,8 +33,8 @@ const (
 
 // Effect is one timed side effect of a handler, attached to the trace
 // instruction whose completion fires it (graduation on SMTp, retire on the
-// PP). It is plain data: the send's message is held by value and only
-// becomes a pooled network message when the effect fires.
+// PP). It is plain data: the send's message is held by value and is
+// copied into a descriptor when the effect fires.
 type Effect struct {
 	Kind        EffectKind
 	St          cache.State // EffRefill
@@ -81,19 +83,34 @@ func (a *EffectArena) issue(e Effect) uint32 {
 // Get returns the live effect h names without firing it (snapshot codec,
 // trace tooling). The pointer is valid until the next issue.
 func (a *EffectArena) Get(h uint32) *Effect {
-	a.checkLive(h)
+	if a.slots[h].Kind == effFree {
+		panic(deadHandle(h))
+	}
 	return &a.slots[h]
 }
 
 // Take fires h: it returns the effect by value and frees its slot, so a
-// handle is consumed exactly once. Under the poolcheck build tag taking a
-// free or never-issued handle panics.
+// handle is consumed exactly once. Taking a fired, never-issued or zero
+// handle panics instead of firing stale data (slot 0 is always free, and
+// a handle past the arena fails the index).
 func (a *EffectArena) Take(h uint32) Effect {
-	a.checkLive(h)
 	e := a.slots[h]
+	if e.Kind == effFree {
+		panic(deadHandle(h))
+	}
 	a.slots[h] = Effect{}
 	a.free = append(a.free, h)
 	return e
+}
+
+// deadHandle is the panic value for a handle that names no live effect.
+// Panicking with the bare handle keeps the check in Take and Get to one
+// compare, so both stay inlinable; the message is formatted only when the
+// panic is reported.
+type deadHandle uint32
+
+func (h deadHandle) Error() string {
+	return fmt.Sprintf("coherence: effect handle %d is not live", uint32(h))
 }
 
 // Live reports the number of issued, not yet fired effects.

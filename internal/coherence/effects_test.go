@@ -1,12 +1,10 @@
-//go:build poolcheck
-
 package coherence
 
 import "testing"
 
-// TestEffectArenaRejectsDeadHandles pins the poolcheck contract of the
-// effect arena: an effect fires once, and firing (or reading) a handle that
-// was already fired, or never issued, panics instead of firing stale data.
+// TestEffectArenaRejectsDeadHandles pins the effect arena's contract: an
+// effect fires once, and firing (or reading) a handle that was already
+// fired, or never issued, panics instead of firing stale data.
 func TestEffectArenaRejectsDeadHandles(t *testing.T) {
 	mustPanic := func(what string, fn func()) {
 		t.Helper()

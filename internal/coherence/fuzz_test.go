@@ -24,7 +24,7 @@ type fuzzNode struct {
 	*mockEnv
 	outstanding map[uint64]bool // line -> request in flight
 	wantExcl    map[uint64]bool
-	parked      map[uint64][]*network.Message
+	parked      map[uint64][]network.Message
 	acks        map[uint64]int
 	wbPending   map[uint64]bool
 }
@@ -35,7 +35,7 @@ type fuzzSys struct {
 	nodes []*fuzzNode
 	// chans[src][dst] is a FIFO channel; messages within one channel stay
 	// ordered, channels drain in random order.
-	chans map[[2]int][]*network.Message
+	chans map[[2]int][]network.Message
 	retry []*retryOp
 	log   []string
 
@@ -43,15 +43,14 @@ type fuzzSys struct {
 	// exactly once right after its handler runs.
 	fx *EffectArena
 
-	// pool, when non-nil, runs the fuzz through the pooled dispatch path:
-	// every message is drawn from the pool and released at its handling
-	// point, exactly as memctrl.dispatch does. Under -tags poolcheck the
-	// pool poisons released messages, so any handler that re-sends or
-	// retains a dead message fails loudly.
-	pool  *network.Pool
-	table *Table
-	hctx  Ctx
-	tbuf  []isa.Instr
+	// dispatch, when set, runs every handler the way memctrl.dispatch
+	// does: the message is copied into one current-message slot, and the
+	// handler runs through HandleInto on one reused Ctx and trace buffer.
+	dispatch bool
+	table    *Table
+	hctx     Ctx
+	cur      network.Message
+	tbuf     []isa.Instr
 }
 
 type retryOp struct {
@@ -64,7 +63,7 @@ func newFuzzSys(t *testing.T, nodes int, seed uint64) *fuzzSys {
 	s := &fuzzSys{
 		t:     t,
 		rng:   sim.NewRand(seed),
-		chans: map[[2]int][]*network.Message{},
+		chans: map[[2]int][]network.Message{},
 		fx:    NewEffectArena(),
 		table: DefaultTable(),
 	}
@@ -74,7 +73,7 @@ func newFuzzSys(t *testing.T, nodes int, seed uint64) *fuzzSys {
 			mockEnv:     newMockEnv(addrmap.NodeID(i), nodes),
 			outstanding: map[uint64]bool{},
 			wantExcl:    map[uint64]bool{},
-			parked:      map[uint64][]*network.Message{},
+			parked:      map[uint64][]network.Message{},
 			acks:        map[uint64]int{},
 			wbPending:   map[uint64]bool{},
 		})
@@ -89,7 +88,7 @@ func (s *fuzzSys) logf(format string, args ...interface{}) {
 	}
 }
 
-func (s *fuzzSys) send(m *network.Message) {
+func (s *fuzzSys) send(m network.Message) {
 	key := [2]int{int(m.Src), int(m.Dst)}
 	s.chans[key] = append(s.chans[key], m)
 }
@@ -100,11 +99,7 @@ func (s *fuzzSys) applyEffects(n *fuzzNode, effs []uint32) {
 		e := s.fx.Take(h)
 		switch e.Kind {
 		case EffSend:
-			m := &e.Msg
-			if s.pool != nil {
-				m = s.pool.GetCopy(m)
-			}
-			s.send(m)
+			s.send(e.Msg)
 		case EffRefill:
 			s.refill(n, e)
 		case EffNak:
@@ -171,15 +166,16 @@ func (s *fuzzSys) fail(format string, args ...interface{}) {
 	s.t.Fatalf(format, args...)
 }
 
-func (s *fuzzSys) handleAt(n *fuzzNode, m *network.Message) {
+func (s *fuzzSys) handleAt(n *fuzzNode, m network.Message) {
 	s.logf("node %d handles %v line %#x (from %d req %d aux %d)",
 		n.id, MsgType(m.Type), m.Addr, m.Src, m.Requester, m.Aux)
 	var tr []isa.Instr
-	if s.pool != nil {
-		tr = s.table.HandleInto(&s.hctx, n.mockEnv, m, s.tbuf)
+	if s.dispatch {
+		s.cur = m
+		tr = s.table.HandleInto(&s.hctx, n.mockEnv, &s.cur, s.tbuf)
 		s.tbuf = tr
 	} else {
-		tr = Handle(n.mockEnv, s.fx, m)
+		tr = Handle(n.mockEnv, s.fx, &m)
 	}
 	var effs []uint32
 	for i := range tr {
@@ -187,21 +183,12 @@ func (s *fuzzSys) handleAt(n *fuzzNode, m *network.Message) {
 			effs = append(effs, tr[i].Effect)
 		}
 	}
-	if s.pool != nil {
-		// The message dies here, as at the end of memctrl.dispatch.
-		s.pool.Put(m)
-	}
 	s.applyEffects(n, effs)
 }
 
-// piMsg builds a processor-interface message, from the pool when pooled.
-func (s *fuzzSys) piMsg(n *fuzzNode, mt MsgType, line uint64) *network.Message {
-	m := &network.Message{}
-	if s.pool != nil {
-		m = s.pool.Get()
-	}
-	m.Src, m.Dst, m.Type, m.Addr = n.id, n.id, uint8(mt), line
-	return m
+// piMsg builds a processor-interface message.
+func (s *fuzzSys) piMsg(n *fuzzNode, mt MsgType, line uint64) network.Message {
+	return network.Message{Src: n.id, Dst: n.id, Type: uint8(mt), Addr: line}
 }
 
 func (s *fuzzSys) deliverOne() bool {
@@ -392,19 +379,17 @@ func TestProtocolFuzz(t *testing.T) {
 	}
 }
 
-// TestProtocolFuzzPooled re-runs the protocol fuzz through the pooled
-// dispatch path (HandleInto + explicit Put at the handling point). In the
-// default build this proves pooled message recycling reaches the same
-// drained states and leaves no effect in the arena; under -tags poolcheck
-// released messages are poisoned and fired effect slots are checked, so a
-// handler that re-sends, retains or double-releases a message, or an effect
-// fired twice, panics.
-func TestProtocolFuzzPooled(t *testing.T) {
+// TestProtocolFuzzDispatch re-runs the protocol fuzz through the dispatch
+// path: every handler runs through HandleInto on one reused Ctx, trace
+// buffer and current-message slot, as in memctrl.dispatch. It proves the
+// reused state reaches the same drained states and that every seed leaves
+// no effect in the arena; the arena panics on an effect fired twice.
+func TestProtocolFuzzDispatch(t *testing.T) {
 	const nodes = 4
 	lines := []uint64{0, 128, 4096, 8192, 12288}
 	for seed := uint64(1); seed <= 40; seed++ {
 		s := newFuzzSys(t, nodes, seed)
-		s.pool = network.NewPool()
+		s.dispatch = true
 		for step := 0; step < 400; step++ {
 			if s.rng.Bool(0.45) {
 				n := s.nodes[s.rng.Intn(nodes)]
@@ -421,12 +406,6 @@ func TestProtocolFuzzPooled(t *testing.T) {
 		s.drainRetries()
 		s.drain()
 		s.checkInvariants(lines)
-		if s.pool.Puts != s.pool.Gets {
-			// Every message drawn must have died at exactly one handling
-			// point once the system drained.
-			t.Fatalf("seed %d: pool leak: gets=%d news=%d puts=%d",
-				seed, s.pool.Gets, s.pool.News, s.pool.Puts)
-		}
 		if n := s.fx.Live(); n != 0 {
 			t.Fatalf("seed %d: %d effects left unfired in the arena", seed, n)
 		}

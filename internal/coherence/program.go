@@ -44,7 +44,10 @@ type Env interface {
 
 // Ctx is the per-dispatch handler execution context: the message being
 // handled plus semantic scratch state shared by the static programs'
-// closures. Dispatch units reuse one Ctx across handlers via Reset.
+// closures. Dispatch units reuse one Ctx across handlers via Reset. Msg is
+// borrowed from the dispatch unit (the memory controller's current-message
+// slot): handlers read it and never keep it, since every effect copies
+// what it needs.
 type Ctx struct {
 	Env Env
 	Msg *network.Message

@@ -51,9 +51,9 @@ func (t *Table) Handle(env Env, fx *EffectArena, msg *network.Message) []isa.Ins
 
 // HandleInto is the dispatch-unit fast path: it reuses the caller's context
 // (and the effect arena set on it) and appends the executed-path trace into
-// buf, so a steady-state dispatch allocates nothing.
+// buf, so a steady-state dispatch allocates nothing. The context borrows
+// msg; the caller keeps it unchanged until the handler has run.
 func (t *Table) HandleInto(c *Ctx, env Env, msg *network.Message, buf []isa.Instr) []isa.Instr {
-	msg.AssertLive("coherence.HandleInto")
 	c.Reset(env, msg)
 	return t.Program(MsgType(msg.Type)).ExecuteInto(c, buf)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -80,6 +81,11 @@ func resumeKey(c Config) (string, error) {
 	return string(b), err
 }
 
+// errSampledSnapshot rejects sampled configs on both sides of a
+// checkpoint: a sampled run interleaves fast-forward state the envelope
+// does not carry, so it can neither be captured nor resumed.
+var errSampledSnapshot = errors.New("core: sampled runs cannot be checkpointed")
+
 // RunWithSnapshot is RunWithSnapshotContext with a background context.
 func RunWithSnapshot(cfg Config, at Cycle) (*Checkpoint, *Result, error) {
 	return RunWithSnapshotContext(context.Background(), cfg, at)
@@ -98,8 +104,7 @@ func RunWithSnapshotContext(ctx context.Context, cfg Config, at Cycle) (*Checkpo
 		return nil, &Result{Cfg: cfg, Err: err}, err
 	}
 	if c.SamplePeriod > 0 {
-		err := fmt.Errorf("core: sampled runs cannot be checkpointed")
-		return nil, &Result{Cfg: cfg, Err: err}, err
+		return nil, &Result{Cfg: cfg, Err: errSampledSnapshot}, errSampledSnapshot
 	}
 	if at <= 0 {
 		err := fmt.Errorf("core: snapshot cycle %d must be positive", at)
@@ -152,7 +157,8 @@ func ResumeSnapshot(cfg Config, ck *Checkpoint) *Result {
 // prefix, and all counters continue from their restored values, so the
 // output is byte-identical to an uninterrupted run of the same config. A
 // nil checkpoint (RunWithSnapshot's answer for a run that ended before the
-// capture point) is an error.
+// capture point) is an error, and so is a sampled config, which capture
+// rejects too.
 func ResumeSnapshotContext(ctx context.Context, cfg Config, ck *Checkpoint) *Result {
 	if ck == nil {
 		return &Result{Cfg: cfg, Err: fmt.Errorf("core: no checkpoint to resume (the run ended before the capture point)")}
@@ -160,6 +166,9 @@ func ResumeSnapshotContext(ctx context.Context, cfg Config, ck *Checkpoint) *Res
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return &Result{Cfg: cfg, Err: err}
+	}
+	if c.SamplePeriod > 0 {
+		return &Result{Cfg: cfg, Err: errSampledSnapshot}
 	}
 	ckKey, err := resumeKey(ck.Cfg)
 	if err != nil {

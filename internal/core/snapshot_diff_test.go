@@ -231,6 +231,33 @@ func TestResumeNilCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsSampledConfig: resume refuses a sampled config with the
+// error capture gives, instead of running the rest of the run in full
+// detail and reporting full-detail cycles as a sampled result.
+func TestResumeRejectsSampledConfig(t *testing.T) {
+	cfg := Config{Model: SMTp, App: FFT, Nodes: 4, AppThreads: 1, Scale: 0.25, Seed: 42}
+	ck, _, err := RunWithSnapshot(cfg, SnapshotAlign)
+	if err != nil || ck == nil {
+		t.Fatalf("capture: checkpoint %v, err %v", ck != nil, err)
+	}
+	sampled := cfg
+	sampled.SamplePeriod = 2000
+	sampled.SampleWindow = 4096
+	_, _, capErr := RunWithSnapshot(sampled, SnapshotAlign)
+	if capErr == nil {
+		t.Fatal("capture of a sampled config succeeded")
+	}
+	bad := *ck
+	bad.Cfg = sampled
+	r := ResumeSnapshot(sampled, &bad)
+	if r.Err == nil {
+		t.Fatalf("resume of a sampled config succeeded: completed %v after %d cycles", r.Completed, r.Cycles)
+	}
+	if r.Err.Error() != capErr.Error() {
+		t.Fatalf("resume error %q, capture error %q", r.Err, capErr)
+	}
+}
+
 // TestSampledRunsDeterministic pins the sampled-simulation mode: sampling
 // changes the outcome (that is why SamplePeriod and SampleWindow are
 // hashed, unlike Shards), but identical sampled configs must still be

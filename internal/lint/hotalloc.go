@@ -19,8 +19,9 @@ var hotAllocPackages = []string{"network", "memctrl", "coherence", "ppengine", "
 //   - struct fields typed map[uint64]...: address-keyed runtime maps hash
 //     and allocate on insert; hot-path tracking state belongs in a dense
 //     table sized from config (see internal/memctrl/tables.go);
-//   - &network.Message{...} composite literals: messages come from the
-//     per-machine free-list pool (network.Pool), not the heap.
+//   - &network.Message{...} composite literals: a message is a plain value,
+//     built in place and copied into the queue or descriptor that holds it;
+//     taking the address of a literal puts it on the heap once it escapes.
 //
 // Cold paths keep the idiom under a //simlint:allow hotalloc -- <reason>
 // annotation.
@@ -58,7 +59,7 @@ func runHotAlloc(mod *Module) []Diagnostic {
 						return true
 					}
 					out = append(out, mod.diag(n.Pos(), "hotalloc",
-						"&network.Message literal allocates on the hot path: draw from the message pool, or annotate"))
+						"&network.Message literal allocates on the hot path: build the message as a value, or annotate"))
 				}
 				return true
 			})

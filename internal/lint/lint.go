@@ -89,7 +89,7 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name: "hotalloc",
-			Doc:  "hot packages use pooled messages and dense tables, not &network.Message{} or map[uint64] fields",
+			Doc:  "hot packages pass messages by value and use dense tables, not &network.Message{} or map[uint64] fields",
 			Run:  runHotAlloc,
 		},
 		{

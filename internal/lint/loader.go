@@ -177,9 +177,8 @@ func (l *moduleImporter) load(path string) (*Package, error) {
 }
 
 // parseDir parses the non-test Go files of one directory that match the
-// default build configuration (so of a //go:build tag pair like
-// poolcheck_on.go / poolcheck_off.go only the default variant is loaded,
-// keeping the package type-checkable).
+// default build configuration (file-name and //go:build constraints), so
+// a package with per-platform or per-tag variants stays type-checkable.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

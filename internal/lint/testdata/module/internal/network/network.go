@@ -2,7 +2,7 @@
 // map fields are hotalloc findings here.
 package network
 
-// Message mirrors the simulator's pooled protocol message.
+// Message mirrors the simulator's protocol message.
 type Message struct {
 	Addr uint64
 }
@@ -13,7 +13,7 @@ type Router struct {
 	name map[string]int // non-address keys are fine
 }
 
-// Fresh allocates a message on the heap, bypassing the pool.
+// Fresh allocates a message on the heap instead of building a value.
 func Fresh() *Message {
 	return &Message{Addr: 1} // want hotalloc
 }

@@ -201,7 +201,7 @@ func New(cfg Config) *Machine {
 		HopCycles:   hop,
 		BytesPerCyc: 1.0 / cfg.CPUGHz,
 		LocalLoop:   4,
-	}, m.Eng, func(msg *network.Message) {
+	}, m.Eng, func(msg network.Message) {
 		m.Nodes[msg.Dst].OnNetMessage(msg)
 	})
 	if nsh > 1 {
@@ -323,7 +323,7 @@ func New(cfg Config) *Machine {
 		// (DESIGN.md §13). The observer runs either with all shards parked
 		// or from the replay partition that owns msg.Dst's shard, so the
 		// hint write is always shard-private.
-		m.Net.SetReplayObserver(func(msg *network.Message, done sim.Cycle) {
+		m.Net.SetReplayObserver(func(msg network.Message, done sim.Cycle) {
 			m.Nodes[msg.Dst].Pipe.RefillHint(msg.Addr, done)
 		})
 		for i, n := range m.Nodes {

@@ -8,23 +8,23 @@ import (
 
 // BenchmarkLocalWriteWritebackCycle pins the controller's steady-state
 // dispatch path at zero allocations per handled message: a processor-
-// interface write (pooled message, ring queue, SDRAM read table, handler
-// dispatch into a recycled trace buffer, refill) followed by the writeback
-// that returns the line to its initial unowned state, so every iteration
-// sees identical structural state.
+// interface write (local queue slot, SDRAM read table, handler dispatch
+// into a recycled trace buffer, refill) followed by the writeback that
+// returns the line to its initial unowned state, so every iteration sees
+// identical structural state.
 func BenchmarkLocalWriteWritebackCycle(b *testing.B) {
 	r := newRig(b, 1, defCfg())
 	mc, tn := r.mcs[0], r.nodes[0]
 	const line = uint64(4096)
 	cycle := func() {
-		if !mc.EnqueueLocalPI(uint8(coherence.MsgPIWrite), line) {
+		if !mc.EnqueueLocal(uint8(coherence.MsgPIWrite), line) {
 			b.Fatal("local queue full")
 		}
 		for len(tn.refills) == 0 {
 			r.eng.Step()
 		}
 		tn.refills = tn.refills[:0]
-		if !mc.EnqueueLocalPI(uint8(coherence.MsgPIWriteback), line) {
+		if !mc.EnqueueLocal(uint8(coherence.MsgPIWriteback), line) {
 			b.Fatal("local queue full")
 		}
 		for len(tn.wbacks) == 0 {
@@ -32,7 +32,7 @@ func BenchmarkLocalWriteWritebackCycle(b *testing.B) {
 		}
 		tn.wbacks = tn.wbacks[:0]
 	}
-	// Warm every structure: pool, rings, read table, trace buffers, slabs.
+	// Warm every structure: queues, read table, trace buffers, slabs.
 	for i := 0; i < 64; i++ {
 		cycle()
 	}

@@ -24,9 +24,9 @@ const (
 func (mc *MC) Fire(d sim.Desc) {
 	switch d.Kind {
 	case KMCDeferred:
-		m := mc.pool.Get()
-		network.UnpackMessage([4]uint64(d.Args[:4]), m)
-		mc.localDeferred(m)
+		var m network.Message
+		network.UnpackMessage([4]uint64(d.Args[:4]), &m)
+		mc.localDeferred(&m)
 	case KMCFire:
 		mc.fire(d)
 	default:
@@ -41,8 +41,8 @@ func (mc *MC) Fire(d sim.Desc) {
 func (mc *MC) fire(d sim.Desc) {
 	switch uint8(d.Args[0]) {
 	case fireSend:
-		m := mc.pool.Get()
-		network.UnpackMessage([4]uint64(d.Args[1:5]), m)
+		var m network.Message
+		network.UnpackMessage([4]uint64(d.Args[1:5]), &m)
 		mc.net.Send(m)
 	case fireRefill:
 		if extra := mc.cfg.PIExtraCycles; extra > 0 && d.Args[0]&fireDescCrossed == 0 {

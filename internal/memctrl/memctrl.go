@@ -72,16 +72,16 @@ type MC struct {
 	back Backend
 
 	table      *coherence.Table
-	local      []*network.Message
+	local      []localSlot
 	in         [network.NumVCs]msgRing
 	localFirst bool
-	queued     int // live messages across local+in (excludes in-transit slots)
+	queued     int // arrived messages across local+in (excludes in-transit slots)
 
-	// Allocation-free dispatch machinery: handled messages are released to
-	// the machine's pool, handler effects live in a recycled arena, handler
-	// traces append into recycled buffers returned by the backend on
-	// completion, and the handler context is reused across dispatches.
-	pool      *network.Pool
+	// Allocation-free dispatch machinery: dispatch pops the next message
+	// into cur, which the reused handler context borrows; handler effects
+	// live in a recycled arena; handler traces append into recycled
+	// buffers returned by the backend on completion.
+	cur       network.Message
 	effects   *coherence.EffectArena
 	traceFree [][]isa.Instr
 	hctx      coherence.Ctx
@@ -136,7 +136,7 @@ func (mc *MC) RegisterMetrics(s *stats.Scope) {
 func (mc *MC) sampleQueuesN(count uint64) {
 	n := 0
 	for i := range mc.local {
-		if mc.local[i] != nil {
+		if mc.local[i].arrived {
 			n++
 		}
 	}
@@ -158,17 +158,12 @@ func New(cfg Config, eng *sim.Engine, env coherence.Env, node NodeIface, net net
 	if cfg.MemReadTableCap == 0 {
 		cfg.MemReadTableCap = 1024
 	}
-	pool := network.NewPool()
-	if net != nil {
-		pool = net.MsgPool()
-	}
 	mc := &MC{
 		cfg:      cfg,
 		eng:      eng,
 		env:      env,
 		node:     node,
 		net:      net,
-		pool:     pool,
 		effects:  coherence.NewEffectArena(),
 		table:    coherence.DefaultTable(),
 		memReads: newReadTable(cfg.MemReadTableCap),
@@ -186,64 +181,54 @@ func (mc *MC) SetBackend(b Backend) { mc.back = b }
 // Cfg returns the configuration.
 func (mc *MC) Cfg() Config { return mc.cfg }
 
+// localSlot is one entry of the local miss interface. A request crossing a
+// non-integrated controller's system bus holds its slot unarrived, so it
+// counts against LocalQueueCap and keeps its place in dispatch order.
+type localSlot struct {
+	msg     network.Message
+	arrived bool
+}
+
 // EnqueueLocal queues a processor-interface request (an L2 miss or
-// writeback) into the local miss interface. Returns false when the queue is
-// full — the caller must retry.
-func (mc *MC) EnqueueLocal(m *network.Message) bool {
+// writeback) of message type t for line into the local miss interface.
+// Returns false when the queue is full — the caller must retry.
+func (mc *MC) EnqueueLocal(t uint8, line uint64) bool {
 	if len(mc.local) >= mc.cfg.LocalQueueCap {
 		mc.LocalFull++
 		return false
 	}
-	m.AssertLive("memctrl.EnqueueLocal")
-	mc.enqueueLocalReady(m)
-	return true
-}
-
-// EnqueueLocalPI is the pipeline's allocation-free local enqueue: the
-// controller builds the processor-interface message from the machine pool
-// itself, so a full queue (the caller retries) costs nothing.
-func (mc *MC) EnqueueLocalPI(t uint8, line uint64) bool {
-	if len(mc.local) >= mc.cfg.LocalQueueCap {
-		mc.LocalFull++
-		return false
-	}
-	m := mc.pool.Get()
 	id := mc.env.NodeID()
-	m.Src, m.Dst, m.Requester = id, id, id
-	m.Type, m.Addr = t, line
-	mc.enqueueLocalReady(m)
-	return true
-}
-
-func (mc *MC) enqueueLocalReady(m *network.Message) {
+	m := network.Message{Src: id, Dst: id, Requester: id, Type: t, Addr: line}
 	if mc.cfg.PIExtraCycles > 0 {
 		// Non-integrated controller: the request crosses the system bus
-		// packed in its event descriptor; Fire draws it again on arrival.
-		mc.eng.After(mc.cfg.PIExtraCycles, mc.deferredDesc(m))
-		mc.pool.Put(m)
-		mc.local = append(mc.local, nil) // hold the slot while in transit
-		return
+		// packed in its event descriptor, and Fire fills its slot on
+		// arrival.
+		mc.eng.After(mc.cfg.PIExtraCycles, mc.deferredDesc(&m))
+		mc.local = append(mc.local, localSlot{})
+		return true
 	}
-	mc.local = append(mc.local, m)
+	mc.local = append(mc.local, localSlot{msg: m, arrived: true})
 	mc.queued++
+	return true
 }
 
+// localDeferred fills the oldest unarrived local slot with a request that
+// has crossed the system bus.
 func (mc *MC) localDeferred(m *network.Message) {
 	mc.queued++
 	for i := range mc.local {
-		if mc.local[i] == nil {
-			mc.local[i] = m
+		if !mc.local[i].arrived {
+			mc.local[i] = localSlot{msg: *m, arrived: true}
 			return
 		}
 	}
-	mc.local = append(mc.local, m)
+	mc.local = append(mc.local, localSlot{msg: *m, arrived: true})
 }
 
 // EnqueueNet queues an arriving network message into its virtual network's
 // input queue.
-func (mc *MC) EnqueueNet(m *network.Message) {
-	m.AssertLive("memctrl.EnqueueNet")
-	mc.in[m.VC].push(m)
+func (mc *MC) EnqueueNet(m network.Message) {
+	mc.in[m.VC].push(&m)
 	mc.queued++
 }
 
@@ -300,61 +285,50 @@ func (mc *MC) ProtocolMiss(line uint64, d sim.Desc) {
 	mc.eng.Schedule(ready, d)
 }
 
-// pick selects the next message to dispatch: replies first (they always
-// drain, keeping the protocol deadlock-free), then interventions, then
-// requests, alternating between the local miss interface and the network
-// request queue for fairness.
-func (mc *MC) pick() *network.Message {
-	if m := mc.popIn(network.VCReply); m != nil {
-		return m
-	}
-	if m := mc.popIn(network.VCIntervention); m != nil {
-		return m
+// pick pops the next message to dispatch into mc.cur, reporting false
+// when nothing is queued: replies first (they always drain, keeping the
+// protocol deadlock-free), then interventions, then requests, alternating
+// between the local miss interface and the network request queue for
+// fairness.
+func (mc *MC) pick() bool {
+	if mc.popIn(network.VCReply) || mc.popIn(network.VCIntervention) {
+		return true
 	}
 	mc.localFirst = !mc.localFirst
 	if mc.localFirst {
-		if m := mc.popLocal(); m != nil {
-			return m
-		}
-		return mc.popIn(network.VCRequest)
+		return mc.popLocal() || mc.popIn(network.VCRequest)
 	}
-	if m := mc.popIn(network.VCRequest); m != nil {
-		return m
-	}
-	return mc.popLocal()
+	return mc.popIn(network.VCRequest) || mc.popLocal()
 }
 
-func (mc *MC) popIn(vc network.VC) *network.Message {
-	m := mc.in[vc].pop()
-	if m != nil {
-		mc.queued--
+func (mc *MC) popIn(vc network.VC) bool {
+	if !mc.in[vc].pop(&mc.cur) {
+		return false
 	}
-	return m
+	mc.queued--
+	return true
 }
 
-func (mc *MC) popLocal() *network.Message {
-	for i, m := range mc.local {
-		if m != nil {
+func (mc *MC) popLocal() bool {
+	for i := range mc.local {
+		if mc.local[i].arrived {
+			mc.cur = mc.local[i].msg
 			mc.local = append(mc.local[:i], mc.local[i+1:]...)
 			mc.queued--
-			return m
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // Tick runs the handler dispatch unit: one dispatch per MC clock when the
 // backend has room. Registered with the engine at period cfg.ClockDiv.
 func (mc *MC) Tick(now sim.Cycle) {
 	mc.sampleQueuesN(1)
-	if mc.back == nil || !mc.back.CanAccept() {
+	if mc.back == nil || !mc.back.CanAccept() || !mc.pick() {
 		return
 	}
-	m := mc.pick()
-	if m == nil {
-		return
-	}
-	mc.dispatch(m)
+	mc.dispatch()
 }
 
 // NextWork implements sim.Quiescer. With queued messages the controller has
@@ -380,7 +354,10 @@ func (mc *MC) Skipped(n uint64, _ sim.Cycle) {
 	}
 }
 
-func (mc *MC) dispatch(m *network.Message) {
+// dispatch runs the handler for mc.cur, which the handler context borrows
+// until the next pick; the handler's effects copy what they need.
+func (mc *MC) dispatch() {
+	m := &mc.cur
 	mc.Dispatched++
 	t := coherence.MsgType(m.Type)
 	if t < coherence.NumMsgTypes {
@@ -396,9 +373,6 @@ func (mc *MC) dispatch(m *network.Message) {
 		mc.sdramWrite()
 	}
 	trace := mc.table.HandleInto(&mc.hctx, mc.env, m, mc.getTraceBuf())
-	// The handler has run: its effects copied everything they need, so the
-	// dispatched message is dead here — the universal release point.
-	mc.pool.Put(m)
 	mc.back.Start(trace)
 }
 

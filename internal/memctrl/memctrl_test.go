@@ -10,6 +10,7 @@ import (
 	"smtpsim/internal/network"
 	"smtpsim/internal/ppengine"
 	"smtpsim/internal/sim"
+	"smtpsim/internal/snapshot"
 )
 
 // testNode implements coherence.Env and NodeIface for controller tests.
@@ -103,7 +104,7 @@ func newRig(t testing.TB, nodes int, cfg Config) *rig {
 	r := &rig{}
 	r.eng = sim.NewEngine(r.fire)
 	r.net = network.New(network.Config{Nodes: nodes, HopCycles: 50, BytesPerCyc: 0.5, LocalLoop: 4},
-		r.eng, func(m *network.Message) { r.mcs[m.Dst].EnqueueNet(m) })
+		r.eng, func(m network.Message) { r.mcs[m.Dst].EnqueueNet(m) })
 	for i := 0; i < nodes; i++ {
 		tn := newTestNode(addrmap.NodeID(i), nodes, r.eng)
 		mc := New(cfg, r.eng, tn, tn, r.net)
@@ -127,21 +128,17 @@ func defCfg() Config {
 	return Config{ClockDiv: 2, SDRAMAccessCyc: 160, SDRAMXferCyc: 80, LocalQueueCap: 16}
 }
 
-func piMsg(t coherence.MsgType, addr uint64, self addrmap.NodeID) *network.Message {
-	return &network.Message{Src: self, Dst: self, Type: uint8(t), Addr: addr}
-}
-
 func TestLocalQueueCapacity(t *testing.T) {
 	cfg := defCfg()
 	cfg.LocalQueueCap = 2
 	r := newRig(t, 1, cfg)
-	if !r.mcs[0].EnqueueLocal(piMsg(coherence.MsgPIRead, 0, 0)) {
+	if !r.mcs[0].EnqueueLocal(uint8(coherence.MsgPIRead), 0) {
 		t.Fatal("first enqueue must succeed")
 	}
-	if !r.mcs[0].EnqueueLocal(piMsg(coherence.MsgPIRead, 128, 0)) {
+	if !r.mcs[0].EnqueueLocal(uint8(coherence.MsgPIRead), 128) {
 		t.Fatal("second enqueue must succeed")
 	}
-	if r.mcs[0].EnqueueLocal(piMsg(coherence.MsgPIRead, 256, 0)) {
+	if r.mcs[0].EnqueueLocal(uint8(coherence.MsgPIRead), 256) {
 		t.Fatal("third enqueue must fail (queue cap 2)")
 	}
 	if r.mcs[0].LocalFull != 1 {
@@ -149,10 +146,103 @@ func TestLocalQueueCapacity(t *testing.T) {
 	}
 }
 
+// TestLocalQueueCountsInTransitRequests pins the local miss interface of a
+// non-integrated (Base) controller: a request crossing the system bus
+// holds its queue slot, so in-transit requests count against
+// LocalQueueCap without being dispatchable, and once they arrive they
+// dispatch in the order they were enqueued.
+func TestLocalQueueCountsInTransitRequests(t *testing.T) {
+	cfg := defCfg()
+	cfg.LocalQueueCap = 2
+	cfg.PIExtraCycles = 40
+	r := newRig(t, 1, cfg)
+	mc := r.mcs[0]
+	for _, line := range []uint64{0, 128} {
+		if !mc.EnqueueLocal(uint8(coherence.MsgPIRead), line) {
+			t.Fatalf("enqueue of line %#x failed", line)
+		}
+	}
+	if mc.EnqueueLocal(uint8(coherence.MsgPIRead), 256) {
+		t.Fatal("third enqueue must fail: two in-transit requests fill the 2-slot queue")
+	}
+	if mc.LocalFull != 1 || mc.QueuedMessages() != 0 {
+		t.Fatalf("LocalFull %d, queued %d; want 1 and 0 while both requests cross the bus",
+			mc.LocalFull, mc.QueuedMessages())
+	}
+	r.run(2000)
+	rf := r.nodes[0].refills
+	if len(rf) != 2 || rf[0].line != 0 || rf[1].line != 128 {
+		t.Fatalf("refills %+v; want line 0, then line 128", rf)
+	}
+	if mc.Dispatched != 2 || mc.QueuedMessages() != 0 || len(mc.local) != 0 {
+		t.Fatalf("dispatched %d, queued %d, %d local slots after drain; want 2, 0, 0",
+			mc.Dispatched, mc.QueuedMessages(), len(mc.local))
+	}
+}
+
+// restoreInto saves src's state and loads it into a fresh controller of
+// config cfg, returning that controller and the decode error.
+func restoreInto(t *testing.T, src *MC, cfg Config) (*MC, error) {
+	t.Helper()
+	e := snapshot.NewEncoder()
+	src.SaveState(e)
+	d, err := snapshot.NewDecoder(e.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := newRig(t, 1, cfg).mcs[0]
+	mc.LoadState(d)
+	return mc, d.Err()
+}
+
+// TestLoadStateRejectsWrongQueuedCount: an idle controller whose snapshot
+// records 5 queued messages must not restore. Restored, it would report
+// work it can never dispatch on every controller clock, so the machine
+// could never drain and a resumed run would step to its cycle budget.
+func TestLoadStateRejectsWrongQueuedCount(t *testing.T) {
+	src := newRig(t, 1, defCfg()).mcs[0]
+	src.queued = 5 // the stored count; every queue is empty
+	mc, err := restoreInto(t, src, defCfg())
+	if err == nil {
+		t.Fatalf("restore accepted a queued count of 5 over empty queues (QueuedMessages %d)", mc.QueuedMessages())
+	}
+}
+
+// TestLoadStateChecksLocalSlots: a local queue longer than its capacity
+// fails the restore, and so does an unarrived slot on an integrated
+// controller, which schedules no bus crossing that could ever fill it. On
+// a non-integrated controller the same unarrived slot restores.
+func TestLoadStateChecksLocalSlots(t *testing.T) {
+	base := defCfg()
+	base.LocalQueueCap = 2
+	base.PIExtraCycles = 40
+
+	over := newRig(t, 1, base).mcs[0]
+	over.local = make([]localSlot, 3)
+	if _, err := restoreInto(t, over, base); err == nil {
+		t.Error("restore accepted 3 local slots in a 2-slot queue")
+	}
+
+	transit := newRig(t, 1, base).mcs[0]
+	if !transit.EnqueueLocal(uint8(coherence.MsgPIRead), 0) {
+		t.Fatal("enqueue failed")
+	}
+	if _, err := restoreInto(t, transit, defCfg()); err == nil {
+		t.Error("an integrated controller restored an unarrived local slot")
+	}
+	mc, err := restoreInto(t, transit, base)
+	if err != nil {
+		t.Fatalf("non-integrated controller rejected its in-transit slot: %v", err)
+	}
+	if len(mc.local) != 1 || mc.local[0].arrived || mc.QueuedMessages() != 0 {
+		t.Fatalf("restored local queue %+v with %d queued; want one unarrived slot", mc.local, mc.QueuedMessages())
+	}
+}
+
 func TestLocalReadRefillTiming(t *testing.T) {
 	r := newRig(t, 1, defCfg())
 	addr := uint64(0)
-	r.mcs[0].EnqueueLocal(piMsg(coherence.MsgPIRead, addr, 0))
+	r.mcs[0].EnqueueLocal(uint8(coherence.MsgPIRead), addr)
 	r.run(1000)
 	n := r.nodes[0]
 	if len(n.refills) != 1 {
@@ -178,7 +268,7 @@ func TestLocalReadRefillTiming(t *testing.T) {
 func TestTwoNodeReadTransaction(t *testing.T) {
 	r := newRig(t, 2, defCfg())
 	addr := uint64(0) // homed at node 0
-	r.mcs[1].EnqueueLocal(piMsg(coherence.MsgPIRead, addr, 1))
+	r.mcs[1].EnqueueLocal(uint8(coherence.MsgPIRead), addr)
 	r.run(3000)
 	n1 := r.nodes[1]
 	if len(n1.refills) != 1 {
@@ -203,7 +293,7 @@ func TestThreeHopTransaction(t *testing.T) {
 	r.nodes[0].dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 3})
 	r.nodes[3].l2[addr] = cache.Modified
 	// Node 1 reads.
-	r.mcs[1].EnqueueLocal(piMsg(coherence.MsgPIRead, addr, 1))
+	r.mcs[1].EnqueueLocal(uint8(coherence.MsgPIRead), addr)
 	r.run(6000)
 	n1 := r.nodes[1]
 	if len(n1.refills) != 1 || n1.refills[0].st != cache.Shared {
@@ -225,7 +315,7 @@ func TestInvalidationAcksFlow(t *testing.T) {
 	r.nodes[2].l2[addr] = cache.Shared
 	r.nodes[3].l2[addr] = cache.Shared
 	// Node 1 writes.
-	r.mcs[1].EnqueueLocal(piMsg(coherence.MsgPIWrite, addr, 1))
+	r.mcs[1].EnqueueLocal(uint8(coherence.MsgPIWrite), addr)
 	r.run(8000)
 	n1 := r.nodes[1]
 	if len(n1.refills) != 1 || n1.refills[0].acks != 2 {
@@ -249,7 +339,7 @@ func TestNakOnBusyLine(t *testing.T) {
 	r := newRig(t, 2, defCfg())
 	addr := uint64(0)
 	r.nodes[0].dir.Store(addr, directory.Entry{State: directory.BusyExcl, Owner: 1, Pending: 1})
-	r.mcs[1].EnqueueLocal(piMsg(coherence.MsgPIRead, addr, 1))
+	r.mcs[1].EnqueueLocal(uint8(coherence.MsgPIRead), addr)
 	r.run(3000)
 	if len(r.nodes[1].naks) != 1 {
 		t.Fatalf("busy line must NAK the requester, got %v", r.nodes[1].naks)
@@ -260,7 +350,7 @@ func TestWritebackFlow(t *testing.T) {
 	r := newRig(t, 2, defCfg())
 	addr := uint64(0)
 	r.nodes[0].dir.Store(addr, directory.Entry{State: directory.Dirty, Owner: 1})
-	r.mcs[1].EnqueueLocal(piMsg(coherence.MsgPIWriteback, addr, 1))
+	r.mcs[1].EnqueueLocal(uint8(coherence.MsgPIWriteback), addr)
 	r.run(3000)
 	if len(r.nodes[1].wbacks) != 1 {
 		t.Fatal("writeback must be acknowledged")
@@ -276,10 +366,8 @@ func TestWritebackFlow(t *testing.T) {
 func TestRepliesDispatchBeforeRequests(t *testing.T) {
 	r := newRig(t, 1, defCfg())
 	mc := r.mcs[0]
-	req := piMsg(coherence.MsgPIRead, 0, 0)
-	rep := &network.Message{Src: 0, Dst: 0, Type: uint8(coherence.MsgNAK), Addr: 128, VC: network.VCReply}
-	mc.EnqueueLocal(req)
-	mc.EnqueueNet(rep)
+	mc.EnqueueLocal(uint8(coherence.MsgPIRead), 0)
+	mc.EnqueueNet(network.Message{Src: 0, Dst: 0, Type: uint8(coherence.MsgNAK), Addr: 128, VC: network.VCReply})
 	// One MC tick dispatches one message; the reply must win. After 20
 	// cycles the NAK handler has retired but the read's SDRAM access
 	// (160 cycles) cannot have completed, proving the reply went first.
@@ -297,8 +385,8 @@ func TestPIExtraCyclesDelaysBase(t *testing.T) {
 	slowCfg := defCfg()
 	slowCfg.PIExtraCycles = 40
 	slow := newRig(t, 1, slowCfg)
-	fast.mcs[0].EnqueueLocal(piMsg(coherence.MsgPIRead, 0, 0))
-	slow.mcs[0].EnqueueLocal(piMsg(coherence.MsgPIRead, 0, 0))
+	fast.mcs[0].EnqueueLocal(uint8(coherence.MsgPIRead), 0)
+	slow.mcs[0].EnqueueLocal(uint8(coherence.MsgPIRead), 0)
 	fast.run(2000)
 	slow.run(2000)
 	f, s := fast.nodes[0].refills[0].when, slow.nodes[0].refills[0].when
@@ -345,7 +433,7 @@ func TestSDRAMContentionSerializes(t *testing.T) {
 
 func TestDispatchCountsAndDrain(t *testing.T) {
 	r := newRig(t, 2, defCfg())
-	r.mcs[1].EnqueueLocal(piMsg(coherence.MsgPIRead, 0, 1))
+	r.mcs[1].EnqueueLocal(uint8(coherence.MsgPIRead), 0)
 	r.run(5000)
 	if r.mcs[0].QueuedMessages() != 0 || r.mcs[1].QueuedMessages() != 0 {
 		t.Fatal("queues must drain")

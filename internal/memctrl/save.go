@@ -15,7 +15,7 @@ import (
 // pipeline kinds live below 32, the network's delivery at 32).
 const (
 	// KMCDeferred is a local-miss enqueue crossing the non-integrated
-	// controller's system bus (enqueueLocalReady's PIExtraCycles leg).
+	// controller's system bus (EnqueueLocal's PIExtraCycles leg).
 	KMCDeferred uint8 = 64
 	// KMCFire is a deferred effect action waiting on the overlapped SDRAM
 	// read or crossing the processor bus (fireWhenReady / fire).
@@ -30,11 +30,6 @@ const (
 )
 
 func (mc *MC) owner() int32 { return int32(mc.env.NodeID()) }
-
-// Pool exposes the controller's message pool so node-level restore can
-// rebuild message lists (parked interventions) on the same recycler the
-// live path uses.
-func (mc *MC) Pool() *network.Pool { return mc.pool }
 
 // SaveInstr encodes a coherence-handler instruction with the effect its
 // handle names in this controller's arena. Every owner of traces this
@@ -85,17 +80,18 @@ func (mc *MC) refillDesc(line uint64, st cache.State, acks int, upgrade bool) si
 func (mc *MC) SaveState(e *snapshot.Encoder) {
 	e.Mark("mc")
 	e.Int(len(mc.local))
-	for _, m := range mc.local {
-		e.Bool(m != nil)
-		if m != nil {
-			network.SaveMessage(e, m)
+	for i := range mc.local {
+		s := &mc.local[i]
+		e.Bool(s.arrived)
+		if s.arrived {
+			network.SaveMessage(e, &s.msg)
 		}
 	}
 	for vc := range mc.in {
 		r := &mc.in[vc]
 		e.Int(r.size)
 		for i := 0; i < r.size; i++ {
-			network.SaveMessage(e, r.buf[(r.head+i)&(len(r.buf)-1)])
+			network.SaveMessage(e, &r.buf[(r.head+i)&(len(r.buf)-1)])
 		}
 	}
 	e.Bool(mc.localFirst)
@@ -132,33 +128,48 @@ func (mc *MC) SaveState(e *snapshot.Encoder) {
 	}
 }
 
-// LoadState restores state saved by SaveState. Queued messages are drawn
-// from the machine pool; the read table is rebuilt by insertion, which
-// yields an equivalent (lookup-identical) layout regardless of the saved
-// table's growth history. The effect arena empties: the backends restored
-// after the controller re-issue the effects of their traces.
+// LoadState restores state saved by SaveState. The read table is rebuilt
+// by insertion, which yields an equivalent (lookup-identical) layout
+// regardless of the saved table's growth history. The effect arena
+// empties: the backends restored after the controller re-issue the
+// effects of their traces. The queued-message count is derived from the
+// restored queues, and a stream whose stored count disagrees fails, as
+// does a local queue longer than LocalQueueCap or an unarrived local slot
+// on an integrated controller (nothing would ever fill it).
 func (mc *MC) LoadState(d *snapshot.Decoder) {
 	d.Expect("mc")
 	mc.effects.Reset()
 	mc.local = mc.local[:0]
-	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
-		if d.Bool() {
-			mc.local = append(mc.local, network.LoadMessage(d, mc.pool))
-		} else {
-			mc.local = append(mc.local, nil)
+	queued := 0
+	n := d.Int()
+	if d.Err() == nil && (n < 0 || n > mc.cfg.LocalQueueCap) {
+		d.Fail("local miss queue holds %d slots, capacity %d", n, mc.cfg.LocalQueueCap)
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		var s localSlot
+		if s.arrived = d.Bool(); s.arrived {
+			network.DecodeMessage(d, &s.msg)
+			queued++
+		} else if mc.cfg.PIExtraCycles == 0 {
+			d.Fail("unarrived local slot on an integrated controller")
 		}
+		mc.local = append(mc.local, s)
 	}
 	for vc := range mc.in {
 		r := &mc.in[vc]
-		for r.pop() != nil {
-		}
-		r.head = 0
+		r.head, r.size = 0, 0
+		var m network.Message
 		for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
-			r.push(network.LoadMessage(d, mc.pool))
+			network.DecodeMessage(d, &m)
+			r.push(&m)
+			queued++
 		}
 	}
 	mc.localFirst = d.Bool()
-	mc.queued = d.Int()
+	if q := d.Int(); d.Err() == nil && q != queued {
+		d.Fail("controller records %d queued messages, its queues hold %d", q, queued)
+	}
+	mc.queued = queued
 	mc.sdramBusy = sim.Cycle(d.U64())
 	mc.protoBusy = sim.Cycle(d.U64())
 

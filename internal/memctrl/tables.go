@@ -5,12 +5,12 @@ import (
 	"smtpsim/internal/sim"
 )
 
-// msgRing is a power-of-two ring buffer of queued messages. The network
-// input queues used to be plain slices popped with q[1:], which walks the
-// backing array forward and forces append to reallocate every few hundred
-// messages; the ring reuses its storage forever.
+// msgRing is a power-of-two ring buffer of queued messages, held by value.
+// The network input queues used to be plain slices popped with q[1:], which
+// walks the backing array forward and forces append to reallocate every
+// few hundred messages; the ring reuses its storage forever.
 type msgRing struct {
-	buf  []*network.Message
+	buf  []network.Message
 	head int // index of the oldest element
 	size int
 }
@@ -19,20 +19,20 @@ func (r *msgRing) push(m *network.Message) {
 	if r.size == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.size)&(len(r.buf)-1)] = m
+	r.buf[(r.head+r.size)&(len(r.buf)-1)] = *m
 	r.size++
 }
 
-// pop removes and returns the oldest message, or nil when empty.
-func (r *msgRing) pop() *network.Message {
+// pop copies the oldest message into m and removes it, reporting false
+// when the ring is empty.
+func (r *msgRing) pop(m *network.Message) bool {
 	if r.size == 0 {
-		return nil
+		return false
 	}
-	m := r.buf[r.head]
-	r.buf[r.head] = nil
+	*m = r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.size--
-	return m
+	return true
 }
 
 func (r *msgRing) grow() {
@@ -40,7 +40,7 @@ func (r *msgRing) grow() {
 	if n == 0 {
 		n = 16
 	}
-	nb := make([]*network.Message, n)
+	nb := make([]network.Message, n)
 	for i := 0; i < r.size; i++ {
 		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

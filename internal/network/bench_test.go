@@ -7,31 +7,27 @@ import (
 	"smtpsim/internal/sim"
 )
 
-// BenchmarkSendDeliverRelease pins the full pooled message lifecycle —
-// pool Get, Send over the bristled hypercube (link reservations in the
-// dense table, the message released into its delivery descriptor), the
-// delivery drawing a fresh message, and release back to the pool — at zero
+// BenchmarkSendDeliverRelease pins the full message lifecycle — Send of a
+// value over the bristled hypercube (link reservations in the dense table,
+// the message packed into its delivery descriptor), then the delivery
+// unpacking it and handing it to the deliver callback — at zero
 // allocations per message in steady state.
 func BenchmarkSendDeliverRelease(b *testing.B) {
 	var net *Network
+	var got uint64
 	eng := sim.NewEngine(func(d sim.Desc) { net.Fire(d) })
 	net = New(Config{Nodes: 32, HopCycles: 2, BytesPerCyc: 1, LocalLoop: 4},
-		eng, func(m *Message) { net.MsgPool().Put(m) })
-	pool := net.MsgPool()
+		eng, func(m Message) { got += m.Aux })
 	send := func(i int) {
-		m := pool.Get()
-		m.Src = addrmap.NodeID(i & 31)
-		m.Dst = addrmap.NodeID((i * 7) & 31)
-		m.Requester = m.Src
-		m.DataBytes = 8
-		net.Send(m)
+		src := addrmap.NodeID(i & 31)
+		net.Send(Message{Src: src, Dst: addrmap.NodeID((i * 7) & 31), Requester: src, Aux: 1, DataBytes: 8})
 	}
 	drainTo := func(want uint64) {
 		for net.Delivered < want {
 			eng.Advance(eng.Now() + 1024)
 		}
 	}
-	// Warm the pool, the descriptor arena and the event queue.
+	// Warm the descriptor arena and the event queue.
 	for i := 0; i < 256; i++ {
 		send(i)
 	}
@@ -43,7 +39,7 @@ func BenchmarkSendDeliverRelease(b *testing.B) {
 		drainTo(uint64(257 + i))
 	}
 	b.StopTimer()
-	if pool.Puts != pool.Gets {
-		b.Fatalf("pool leak: gets=%d puts=%d", pool.Gets, pool.Puts)
+	if got != net.Delivered {
+		b.Fatalf("deliver callback saw %d messages, network delivered %d", got, net.Delivered)
 	}
 }

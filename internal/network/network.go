@@ -41,14 +41,11 @@ func (v VC) String() string {
 const HeaderBytes = 16
 
 // Message is one protocol transaction flit-train. Type values are defined
-// by the coherence package; the network treats them opaquely. Messages on
-// the hot protocol paths are recycled through a Pool; the embedded
-// poolState is empty unless the poolcheck build tag poisons released
-// messages to catch use-after-release.
-//
-//simlint:shardlocal -- a live message is owned by exactly one shard at a time; cross-shard handoff happens only through endpoint staging and barrier replay
+// by the coherence package; the network treats them opaquely. A Message is
+// a plain value with no pointer fields, and every holder keeps its own
+// copy: an event descriptor in flight, a controller queue slot, a parked
+// intervention.
 type Message struct {
-	poolState
 	Src, Dst  addrmap.NodeID
 	Requester addrmap.NodeID // original requester for three-hop transactions
 	VC        VC
@@ -73,7 +70,7 @@ type Config struct {
 type Network struct {
 	cfg     Config
 	eng     *sim.Engine
-	deliver func(*Message)
+	deliver func(Message)
 
 	// linkBusy reserves each directed link until its last accepted message
 	// finishes serializing. Every link of the bristled hypercube has a fixed
@@ -85,8 +82,6 @@ type Network struct {
 	dims     int // hypercube dimensions of the router mesh
 	dimBase  int // first router->router slot
 	ejBase   int // first router->node slot
-
-	pool Pool // the machine's message recycler
 
 	// Sharded machines route every send through per-shard Endpoints; the
 	// network keeps the shared topology and link tables and replays the
@@ -101,7 +96,7 @@ type Network struct {
 	// shards parked (serial replay) or from the partition that owns the
 	// destination shard (partitioned replay) — never concurrently for the
 	// same destination.
-	obs func(m *Message, done sim.Cycle)
+	obs func(m Message, done sim.Cycle)
 
 	// Replay-plan scratch (see PlanReplay): the reusable plan, its
 	// per-destination-shard partition buckets and wait counters, and the
@@ -121,7 +116,7 @@ type Network struct {
 
 // New builds a network. deliver is invoked (from the event loop) when a
 // message arrives at its destination NI.
-func New(cfg Config, eng *sim.Engine, deliver func(*Message)) *Network {
+func New(cfg Config, eng *sim.Engine, deliver func(Message)) *Network {
 	if cfg.Nodes < 1 {
 		panic("network: need at least one node")
 	}
@@ -147,11 +142,6 @@ func New(cfg Config, eng *sim.Engine, deliver func(*Message)) *Network {
 	n.linkBusy = make([]sim.Cycle, n.ejBase+cfg.Nodes)
 	return n
 }
-
-// MsgPool returns the machine-wide message recycler. Every message sink
-// (the controllers' dispatch units) releases into it; every hot producer
-// (coherence handlers, the processor interface) draws from it.
-func (n *Network) MsgPool() *Pool { return &n.pool }
 
 // reserveLink queues the message behind link slot l: the transfer starts at
 // t or when the link frees, whichever is later, and holds the link for ser
@@ -202,12 +192,10 @@ func serCycles(bytes int, bpc float64) sim.Cycle {
 // Send injects a message. Arrival time accounts for injection-port queuing,
 // per-hop latency, serialization, and ejection-port queuing; delivery is a
 // scheduled event that carries the message packed in its descriptor
-// (deliverDesc). Send is therefore a release point: the caller hands over
-// its only reference, and Fire draws a fresh message at the destination.
+// (deliverDesc), and Fire unpacks it at the destination.
 //
 //simlint:shardfunnel -- serial-path only: sharded machines route every window send through their shard's Endpoint (the Port interface); the Network's own Send runs unsharded
-func (n *Network) Send(m *Message) {
-	m.AssertLive("network.Send")
+func (n *Network) Send(m Message) {
 	n.Sent++
 	n.BytesSent += uint64(m.Bytes())
 	now := n.eng.Now()
@@ -215,8 +203,7 @@ func (n *Network) Send(m *Message) {
 	if m.Src == m.Dst {
 		// MC loopback (e.g. home == requester replies to itself) does not
 		// traverse the router.
-		n.eng.Schedule(now+n.cfg.LocalLoop, deliverDesc(m))
-		n.pool.Put(m)
+		n.eng.Schedule(now+n.cfg.LocalLoop, deliverDesc(&m))
 		return
 	}
 
@@ -238,19 +225,18 @@ func (n *Network) Send(m *Message) {
 
 	// Head latency over the hops plus injection and ejection serialization.
 	done := t + 2*ser + sim.Cycle(n.Hops(m.Src, m.Dst))*n.cfg.HopCycles
-	n.eng.Schedule(done, deliverDesc(m))
-	n.pool.Put(m)
+	n.eng.Schedule(done, deliverDesc(&m))
 }
 
-// Fire runs a KDeliver event on an unsharded machine: it rebuilds the
-// message the descriptor carries on a fresh pooled message and hands it to
-// the deliver callback. Sharded machines deliver through the destination
-// shard's Endpoint instead.
+// Fire runs a KDeliver event on an unsharded machine: it unpacks the
+// message the descriptor carries and hands it to the deliver callback.
+// Sharded machines deliver through the destination shard's Endpoint
+// instead.
 //
 //simlint:shardfunnel -- serial-path only: the machine routes deliveries to Network.Fire solely when unsharded (endpoints own the sharded delivery path), so no parallel window can dispatch one
 func (n *Network) Fire(d sim.Desc) {
-	m := n.pool.Get()
-	unpackDeliver(d, m)
+	var m Message
+	unpackDeliver(d, &m)
 	n.Delivered++
 	n.deliver(m)
 }

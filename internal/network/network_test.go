@@ -10,7 +10,7 @@ import (
 
 // mk builds a network on an engine whose fire function delivers through
 // the network, as an unsharded machine's does.
-func mk(nodes int, deliver func(*Message)) (*Network, *sim.Engine) {
+func mk(nodes int, deliver func(Message)) (*Network, *sim.Engine) {
 	var n *Network
 	eng := sim.NewEngine(func(d sim.Desc) { n.Fire(d) })
 	n = New(Config{Nodes: nodes, HopCycles: 50, BytesPerCyc: 0.5, LocalLoop: 4}, eng, deliver)
@@ -64,14 +64,17 @@ func TestDeliveryLatency(t *testing.T) {
 	var at sim.Cycle
 	var n *Network
 	var eng *sim.Engine
-	n, eng = mk(4, func(m *Message) { got = m; at = eng.Now() })
-	m := &Message{Src: 0, Dst: 2, VC: VCRequest, DataBytes: 0}
-	n.Send(m)
+	n, eng = mk(4, func(m Message) { got = &m; at = eng.Now() })
+	sent := Message{Src: 0, Dst: 2, VC: VCRequest, Addr: 0x1080, Aux: 3}
+	n.Send(sent)
 	for i := 0; i < 1000 && got == nil; i++ {
 		eng.Step()
 	}
 	if got == nil {
 		t.Fatal("message never delivered")
+	}
+	if *got != sent {
+		t.Fatalf("delivered %+v, sent %+v", *got, sent)
 	}
 	// 16-byte header at 0.5 B/cyc = 32 cycles serialization at each port,
 	// plus 2 hops of 50 cycles: 32 + 100 + 32 = 164.
@@ -84,7 +87,7 @@ func TestDataMessageSlower(t *testing.T) {
 	var ctrlAt, dataAt sim.Cycle
 	var n *Network
 	var eng *sim.Engine
-	deliver := func(m *Message) {
+	deliver := func(m Message) {
 		if m.DataBytes > 0 {
 			dataAt = eng.Now()
 		} else {
@@ -92,13 +95,13 @@ func TestDataMessageSlower(t *testing.T) {
 		}
 	}
 	n, eng = mk(4, deliver)
-	n.Send(&Message{Src: 0, Dst: 3, DataBytes: 128})
+	n.Send(Message{Src: 0, Dst: 3, DataBytes: 128})
 	for i := 0; i < 5000 && dataAt == 0; i++ {
 		eng.Step()
 	}
 	n2, eng2 := mk(4, deliver)
 	eng = eng2
-	n2.Send(&Message{Src: 0, Dst: 3, DataBytes: 0})
+	n2.Send(Message{Src: 0, Dst: 3, DataBytes: 0})
 	for i := 0; i < 5000 && ctrlAt == 0; i++ {
 		eng2.Step()
 	}
@@ -111,10 +114,10 @@ func TestInjectionPortContention(t *testing.T) {
 	var arrivals []sim.Cycle
 	var n *Network
 	var eng *sim.Engine
-	n, eng = mk(4, func(m *Message) { arrivals = append(arrivals, eng.Now()) })
+	n, eng = mk(4, func(m Message) { arrivals = append(arrivals, eng.Now()) })
 	// Two back-to-back sends from the same node serialize at the port.
-	n.Send(&Message{Src: 0, Dst: 2, DataBytes: 128})
-	n.Send(&Message{Src: 0, Dst: 2, DataBytes: 128})
+	n.Send(Message{Src: 0, Dst: 2, DataBytes: 128})
+	n.Send(Message{Src: 0, Dst: 2, DataBytes: 128})
 	for i := 0; i < 10000 && len(arrivals) < 2; i++ {
 		eng.Step()
 	}
@@ -133,8 +136,8 @@ func TestLocalLoopback(t *testing.T) {
 	var eng *sim.Engine
 	n, e := mk(2, nil)
 	eng = e
-	n.deliver = func(m *Message) { at = eng.Now() }
-	n.Send(&Message{Src: 1, Dst: 1})
+	n.deliver = func(m Message) { at = eng.Now() }
+	n.Send(Message{Src: 1, Dst: 1})
 	for i := 0; i < 100 && at == 0; i++ {
 		eng.Step()
 	}
@@ -145,9 +148,9 @@ func TestLocalLoopback(t *testing.T) {
 
 func TestInFlightAccounting(t *testing.T) {
 	delivered := 0
-	n, eng := mk(4, func(m *Message) { delivered++ })
-	n.Send(&Message{Src: 0, Dst: 1})
-	n.Send(&Message{Src: 1, Dst: 0})
+	n, eng := mk(4, func(m Message) { delivered++ })
+	n.Send(Message{Src: 0, Dst: 1})
+	n.Send(Message{Src: 1, Dst: 0})
 	if n.InFlight() != 2 {
 		t.Fatalf("in flight=%d, want 2", n.InFlight())
 	}
@@ -163,9 +166,9 @@ func TestOrderingSameSrcDstSameSize(t *testing.T) {
 	// Equal-size messages between the same pair must arrive in send order
 	// (the protocol depends on per-channel point-to-point ordering).
 	var order []uint64
-	n, eng := mk(4, func(m *Message) { order = append(order, m.Aux) })
+	n, eng := mk(4, func(m Message) { order = append(order, m.Aux) })
 	for i := uint64(0); i < 5; i++ {
-		n.Send(&Message{Src: 0, Dst: 2, VC: VCRequest, Aux: i})
+		n.Send(Message{Src: 0, Dst: 2, VC: VCRequest, Aux: i})
 	}
 	for i := 0; i < 20000 && len(order) < 5; i++ {
 		eng.Step()
@@ -191,9 +194,9 @@ func TestDimensionLinkContention(t *testing.T) {
 	var arrivals []sim.Cycle
 	var n *Network
 	var eng *sim.Engine
-	n, eng = mk(4, func(m *Message) { arrivals = append(arrivals, eng.Now()) })
-	n.Send(&Message{Src: 0, Dst: 2, DataBytes: 128})
-	n.Send(&Message{Src: 1, Dst: 2, DataBytes: 128})
+	n, eng = mk(4, func(m Message) { arrivals = append(arrivals, eng.Now()) })
+	n.Send(Message{Src: 0, Dst: 2, DataBytes: 128})
+	n.Send(Message{Src: 1, Dst: 2, DataBytes: 128})
 	for i := 0; i < 20000 && len(arrivals) < 2; i++ {
 		eng.Step()
 	}
@@ -216,9 +219,9 @@ func TestDisjointRoutesDoNotContend(t *testing.T) {
 	var eng *sim.Engine
 	n, e := mk(4, nil)
 	eng = e
-	n.deliver = func(m *Message) { arrivals = append(arrivals, eng.Now()) }
-	n.Send(&Message{Src: 0, Dst: 1, DataBytes: 128})
-	n.Send(&Message{Src: 2, Dst: 3, DataBytes: 128})
+	n.deliver = func(m Message) { arrivals = append(arrivals, eng.Now()) }
+	n.Send(Message{Src: 0, Dst: 1, DataBytes: 128})
+	n.Send(Message{Src: 2, Dst: 3, DataBytes: 128})
 	for i := 0; i < 20000 && len(arrivals) < 2; i++ {
 		eng.Step()
 	}
@@ -241,7 +244,7 @@ func TestRouteStructure(t *testing.T) {
 	}
 	// 0 -> 31: routers 0 -> 15, correcting dimensions 0,1,2,3 in order:
 	// router path 0 -> 1 -> 3 -> 7 -> 15.
-	n.Send(&Message{Src: 0, Dst: 31})
+	n.Send(Message{Src: 0, Dst: 31})
 	var used []int
 	for i, b := range n.linkBusy {
 		if b != 0 {

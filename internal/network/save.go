@@ -16,8 +16,7 @@ const KDeliver uint8 = 32
 // deliverDesc packs a delivery event's full identity into a descriptor.
 // A Message is small enough that the descriptor IS the message: routing
 // ids and type in one word, then address, aux and payload size. Fire
-// rebuilds the message from the descriptor alone, drawing a fresh pooled
-// message on the destination's pool.
+// rebuilds the message from the descriptor alone.
 func deliverDesc(m *Message) sim.Desc {
 	d := sim.Desc{Owner: int32(m.Dst), Kind: KDeliver}
 	w := PackMessage(m)
@@ -74,9 +73,8 @@ func CheckDeliver(d sim.Desc) error {
 // message lists against it (snapshot.Decoder.Count).
 const MessageBytes = 3*8 + 2 + 2*8 + 8
 
-// SaveMessage serializes a message by value for snapshots of component
-// queues (the memory controllers' rings and parked-intervention lists).
-// The pool bookkeeping is not part of the message's identity.
+// SaveMessage serializes a message for snapshots of component queues (the
+// memory controllers' rings and parked-intervention lists).
 func SaveMessage(e *snapshot.Encoder, m *Message) {
 	e.Int(int(m.Src))
 	e.Int(int(m.Dst))
@@ -88,16 +86,7 @@ func SaveMessage(e *snapshot.Encoder, m *Message) {
 	e.Int(m.DataBytes)
 }
 
-// LoadMessage rebuilds a message saved with SaveMessage, drawing it from
-// the given pool so restored messages recycle like live ones.
-func LoadMessage(d *snapshot.Decoder, pool *Pool) *Message {
-	m := pool.Get()
-	DecodeMessage(d, m)
-	return m
-}
-
-// DecodeMessage reads a message saved with SaveMessage into m (a message
-// held by value, or one already drawn from a pool).
+// DecodeMessage reads a message saved with SaveMessage into m.
 func DecodeMessage(d *snapshot.Decoder, m *Message) {
 	m.Src = addrmap.NodeID(d.Int())
 	m.Dst = addrmap.NodeID(d.Int())

@@ -8,19 +8,17 @@ import (
 )
 
 // Port is the interconnect surface a message producer (a node's memory
-// controller) needs: inject a message, draw pooled messages. On a serial
-// machine the Network itself is the port; on a sharded machine each shard
-// talks to its own Endpoint so the hot send path touches no shared state.
+// controller) needs: inject a message. On a serial machine the Network
+// itself is the port; on a sharded machine each shard talks to its own
+// Endpoint so the hot send path touches no shared state.
 type Port interface {
-	Send(m *Message)
-	MsgPool() *Pool
+	Send(m Message)
 }
 
 // stagedSend is one cross-shard message awaiting deterministic replay: the
-// message by value (Send released the pooled original), its send cycle,
-// the sender's engine position at Send time (the global scheduling order
-// of the send), and the endpoint-local staging sequence that breaks ties
-// among sends from the same position.
+// message, its send cycle, the sender's engine position at Send time (the
+// global scheduling order of the send), and the endpoint-local staging
+// sequence that breaks ties among sends from the same position.
 //
 //simlint:shardlocal -- staged sends live in endpoint-local buffers during a window; PlanReplay merges them into the network's replay buffer only at sync points, with all shards parked
 type stagedSend struct {
@@ -35,15 +33,14 @@ type stagedSend struct {
 // never delivered directly — and the quantum coordinator replays all
 // shards' staged sends in the global serial order at every sync point,
 // reserving the shared link tables single-threaded. Loopback messages
-// (Src == Dst) never leave the shard and are scheduled inline. The message
-// pool and traffic counters are endpoint-local, so the steady-state send
-// path allocates nothing and shares nothing.
+// (Src == Dst) never leave the shard and are scheduled inline. The traffic
+// counters are endpoint-local, so the steady-state send path allocates
+// nothing and shares nothing.
 //
 //simlint:shardlocal -- one endpoint per shard by construction; only the owning shard's send path touches it inside a window, and PlanReplay drains it with all shards parked
 type Endpoint struct {
 	net    *Network
 	eng    *sim.Engine
-	pool   Pool
 	staged []stagedSend
 	seq    uint64
 
@@ -54,33 +51,25 @@ type Endpoint struct {
 
 // NewEndpoint creates a shard-local port onto the network, driven by the
 // shard's engine. Deliveries to this shard's nodes fire through the
-// endpoint (Fire), drawing from its local pool.
+// endpoint (Fire).
 func (n *Network) NewEndpoint(eng *sim.Engine) *Endpoint {
 	ep := &Endpoint{net: n, eng: eng}
 	n.eps = append(n.eps, ep)
 	return ep
 }
 
-// MsgPool returns the endpoint's message recycler. Messages may cross
-// shards and retire into another endpoint's pool; Get zeroes recycled
-// messages, so migration is harmless.
-func (e *Endpoint) MsgPool() *Pool { return &e.pool }
-
 // Send implements Port: loopback messages are scheduled shard-locally at
-// the configured loopback latency, everything else is staged by value for
-// the next sync-point replay. Like Network.Send it releases m. Counters
-// are endpoint-local; the network sums them.
-func (e *Endpoint) Send(m *Message) {
-	m.AssertLive("network.Send")
+// the configured loopback latency, everything else is staged for the next
+// sync-point replay. Counters are endpoint-local; the network sums them.
+func (e *Endpoint) Send(m Message) {
 	e.Sent++
 	e.BytesSent += uint64(m.Bytes())
 	if m.Src == m.Dst {
-		e.eng.Schedule(e.eng.Now()+e.net.cfg.LocalLoop, deliverDesc(m))
-	} else {
-		e.seq++
-		e.staged = append(e.staged, stagedSend{m: *m, at: e.eng.Now(), pos: e.eng.Pos(), seq: e.seq})
+		e.eng.Schedule(e.eng.Now()+e.net.cfg.LocalLoop, deliverDesc(&m))
+		return
 	}
-	e.pool.Put(m)
+	e.seq++
+	e.staged = append(e.staged, stagedSend{m: m, at: e.eng.Now(), pos: e.eng.Pos(), seq: e.seq})
 }
 
 // NextWork implements sim.Quiescer for the shard engine: like the serial
@@ -92,11 +81,11 @@ func (e *Endpoint) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 }
 
 // Fire runs a KDeliver event on a sharded machine: the message the
-// descriptor carries is rebuilt on a fresh message from this (the
-// destination shard's) pool and handed to the network's deliver callback.
+// descriptor carries is unpacked and handed to the network's deliver
+// callback.
 func (e *Endpoint) Fire(d sim.Desc) {
-	m := e.pool.Get()
-	unpackDeliver(d, m)
+	var m Message
+	unpackDeliver(d, &m)
 	e.Delivered++
 	e.net.deliver(m)
 }
@@ -286,7 +275,7 @@ func (n *Network) replayRange(msgs []stagedSend, epOf func(addrmap.NodeID) *Endp
 		done := t + 2*ser + sim.Cycle(n.Hops(m.Src, m.Dst))*n.cfg.HopCycles
 		to := epOf(m.Dst)
 		if n.obs != nil {
-			n.obs(m, done)
+			n.obs(*m, done)
 		}
 		to.eng.ScheduleKeyed(done, s.pos, deliverDesc(m))
 	}
@@ -323,4 +312,4 @@ func (p *ReplayPlan) Finish() int {
 // SetReplayObserver installs the replay delivery observer (see the obs
 // field). Install before the first sync point; the observer must be safe to
 // call from a replay partition for destinations that partition owns.
-func (n *Network) SetReplayObserver(fn func(m *Message, done sim.Cycle)) { n.obs = fn }
+func (n *Network) SetReplayObserver(fn func(m Message, done sim.Cycle)) { n.obs = fn }

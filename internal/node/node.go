@@ -46,7 +46,7 @@ type Node struct {
 	// Interventions that arrived while this node had an outstanding miss
 	// for the same line (they may have overtaken our data reply on a
 	// different virtual network); processed once the miss resolves.
-	parked map[uint64][]*network.Message
+	parked map[uint64][]network.Message
 
 	DeferredInterventions uint64
 }
@@ -80,7 +80,7 @@ func New(cfg Config) *Node {
 		sync:       cfg.Sync,
 		appThreads: cfg.PipeCfg.AppThreads,
 		imissCyc:   sim.Cycle(cfg.PipeCfg.IMissCyc),
-		parked:     make(map[uint64][]*network.Message),
+		parked:     make(map[uint64][]network.Message),
 	}
 	n.Mem = addrmap.NewMemory()
 	n.Dir = directory.New(n.Mem, cfg.Nodes)
@@ -113,7 +113,7 @@ func New(cfg Config) *Node {
 // OnNetMessage receives a delivered network message: interventions for
 // lines with an outstanding local miss are deferred until the miss
 // resolves; everything else enters the controller's input queues.
-func (n *Node) OnNetMessage(m *network.Message) {
+func (n *Node) OnNetMessage(m network.Message) {
 	if m.VC == network.VCIntervention && n.Pipe.HasOutstanding(addrmap.LineAddr(m.Addr)) {
 		line := addrmap.LineAddr(m.Addr)
 		n.parked[line] = append(n.parked[line], m)
@@ -200,7 +200,7 @@ func (n *Node) CacheDowngrade(line uint64) bool { return n.Pipe.CacheDowngrade(l
 type downstream Node
 
 func (d *downstream) EnqueueLocal(t uint8, line uint64) bool {
-	return d.MC.EnqueueLocalPI(t, line)
+	return d.MC.EnqueueLocal(t, line)
 }
 
 func (d *downstream) ProtocolMiss(line uint64, dc sim.Desc) {

@@ -51,7 +51,7 @@ func buildNodeLog(t *testing.T, id addrmap.NodeID, nodes int, smtp bool) (*Node,
 	eng = sim.NewEngine(func(d sim.Desc) { fired = append(fired, firing{d, eng.Now()}) })
 	amap := addrmap.NewMap(nodes)
 	var nodeSlot *Node
-	net := network.New(network.Config{Nodes: nodes}, eng, func(m *network.Message) {
+	net := network.New(network.Config{Nodes: nodes}, eng, func(m network.Message) {
 		nodeSlot.OnNetMessage(m)
 	})
 	syn := &recordingSync{}
@@ -144,7 +144,7 @@ func TestSyncPollGlobalThreadMapping(t *testing.T) {
 func TestInterventionParking(t *testing.T) {
 	n, _, _ := buildNode(t, 0, 2, false)
 	// No outstanding miss: interventions go straight to the controller.
-	iv := &network.Message{
+	iv := network.Message{
 		Src: 1, Dst: 0, VC: network.VCIntervention,
 		Type: 8 /* INVAL */, Addr: 256,
 	}

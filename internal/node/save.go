@@ -29,8 +29,8 @@ func (n *Node) SaveState(e *snapshot.Encoder) {
 		msgs := n.parked[l]
 		e.U64(l)
 		e.Int(len(msgs))
-		for _, m := range msgs {
-			network.SaveMessage(e, m)
+		for i := range msgs {
+			network.SaveMessage(e, &msgs[i])
 		}
 	}
 	e.U64(n.DeferredInterventions)
@@ -44,21 +44,19 @@ func (n *Node) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState restores state saved by SaveState into a node built from the
-// same configuration. Parked messages are drawn from the controller's pool
-// so restored messages recycle like live ones.
+// same configuration.
 func (n *Node) LoadState(d *snapshot.Decoder) {
 	d.Expect("node")
 	n.Mem.LoadState(d)
 	n.Dir.Loads = d.U64()
 	n.Dir.Stores = d.U64()
 
-	n.parked = make(map[uint64][]*network.Message)
+	n.parked = make(map[uint64][]network.Message)
 	for i, nl := 0, d.Int(); i < nl && d.Err() == nil; i++ {
 		line := d.U64()
-		cnt := d.Count(network.MessageBytes)
-		msgs := make([]*network.Message, 0, cnt)
-		for j := 0; j < cnt && d.Err() == nil; j++ {
-			msgs = append(msgs, network.LoadMessage(d, n.MC.Pool()))
+		msgs := make([]network.Message, d.Count(network.MessageBytes))
+		for j := range msgs {
+			network.DecodeMessage(d, &msgs[j])
 		}
 		n.parked[line] = msgs
 	}

@@ -96,9 +96,8 @@ func DefaultConfig(appThreads int, smtp bool) Config {
 // Downstream is the pipeline's interface to the node's memory controller.
 type Downstream interface {
 	// EnqueueLocal queues a processor-interface request of the given
-	// message type for a line; false = queue full. Passing the two scalars
-	// (rather than a *network.Message) lets the controller draw the backing
-	// message from its pool only once the queue has room.
+	// message type for a line; false = queue full. The controller builds
+	// the message itself from the two scalars.
 	EnqueueLocal(t uint8, line uint64) bool
 	// ProtocolMiss services an SMTp protocol-thread L2 miss on the separate
 	// protocol bus, firing the completion event d when the line arrives.
