@@ -85,16 +85,21 @@ shard-stress:
 	$(GO) test -race -timeout 30m -count 1 -run TestShardQuantumBarrierStress ./internal/machine/
 
 # End-to-end smoke of checkpoint/restore (DESIGN.md §14): capture a
-# checkpoint mid-run through the real CLI, restore it at a different shard
-# count, and require the resumed run's metrics JSON to be byte-identical
-# to the uninterrupted run's. The files go to a private temporary
-# directory (one recipe line, so the variable survives), which is removed
-# whether or not the check passes.
+# checkpoint mid-run through the real CLI, restore it, and require the
+# resumed run's metrics JSON to be byte-identical to the uninterrupted
+# run's. The SMTp run restores at a different shard count; the Base run
+# captures the protocol processor mid-handler and requests crossing the
+# system bus. The files go to a private temporary directory (one recipe
+# line, so the variable survives), which is removed whether or not the
+# check passes.
 snapshot-smoke:
 	d="$$(mktemp -d)" && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -snapshot-at 1000 -snapshot-out "$$d/ck.bin" -metrics "$$d/full.json" >/dev/null && \
 	$(GO) run ./cmd/smtpsim -model SMTp -app fft -nodes 4 -scale 0.25 -shards 2 -restore "$$d/ck.bin" -metrics "$$d/resumed.json" >/dev/null && \
-	cmp "$$d/full.json" "$$d/resumed.json"
+	cmp "$$d/full.json" "$$d/resumed.json" && \
+	$(GO) run ./cmd/smtpsim -model Base -app ocean -nodes 4 -scale 0.25 -snapshot-at 7936 -snapshot-out "$$d/base.bin" -metrics "$$d/base-full.json" >/dev/null && \
+	$(GO) run ./cmd/smtpsim -model Base -app ocean -nodes 4 -scale 0.25 -restore "$$d/base.bin" -metrics "$$d/base-resumed.json" >/dev/null && \
+	cmp "$$d/base-full.json" "$$d/base-resumed.json"
 
 # The repository benchmark (perfbench/, its own Go module, so `go test ./...`
 # at the root skips it) imports the simulator's internals: run its tests so

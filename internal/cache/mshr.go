@@ -17,16 +17,17 @@ const (
 	ClassProtocol
 )
 
-// MSHREntry tracks one outstanding line miss. Waiters are opaque tokens the
-// owner (the pipeline's load/store machinery) interprets when the refill
-// arrives.
+// MSHREntry tracks one outstanding line miss. Waiters holds the sequence
+// numbers of the operations waiting on the refill, in join order; the
+// owner (the pipeline's load/store machinery) resolves each one when the
+// refill arrives.
 type MSHREntry struct {
 	LineAddr  uint64
 	Exclusive bool // ownership (write) request
 	Class     MSHRClass
 	Issued    bool // request has left for the memory system
 	AcksLeft  int  // eager-exclusive replies: invalidation acks still due
-	Waiters   []interface{}
+	Waiters   []uint64
 
 	// Gen is a file-wide allocation generation, unique per Alloc. Retry
 	// timers that captured an entry pointer use it to check, across a

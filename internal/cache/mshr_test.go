@@ -18,7 +18,7 @@ func TestMSHRAllocFindFree(t *testing.T) {
 	if f.Find(0x200) != nil {
 		t.Fatal("Find invented an entry")
 	}
-	e.Waiters = append(e.Waiters, "w1", "w2")
+	e.Waiters = append(e.Waiters, 1, 2)
 	f.Free(e)
 	if f.Find(0x100) != nil || f.InUse() != 0 {
 		t.Fatal("entry not freed")
@@ -145,7 +145,7 @@ func TestMSHRLoadStateRejectsCorruptWaiterCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewMSHRFile(1, false)
-	f.LoadState(d, func(d *snapshot.Decoder) interface{} { return d.U8() })
+	f.LoadState(d)
 	if d.Err() == nil {
 		t.Fatal("LoadState accepted 2^60 waiters")
 	}

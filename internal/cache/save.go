@@ -46,21 +46,20 @@ func (c *Cache) LoadState(d *snapshot.Decoder) {
 	}
 }
 
-// SaveState serializes the MSHR file. Waiter tokens are opaque to this
-// package; saveWaiter encodes each one (the pipeline writes a tag plus a
-// stable identity such as a uop sequence number).
-func (f *MSHRFile) SaveState(e *snapshot.Encoder, saveWaiter func(*snapshot.Encoder, interface{})) {
+// SaveState serializes the MSHR file, each entry with its waiters'
+// sequence numbers.
+func (f *MSHRFile) SaveState(e *snapshot.Encoder) {
 	e.Mark("mshr")
 	e.U64(f.allocSeq)
 	e.U64(f.AllocFails)
 	e.Int(len(f.general))
 	for i := range f.general {
-		saveMSHREntry(e, &f.general[i], saveWaiter)
+		saveMSHREntry(e, &f.general[i])
 	}
-	saveMSHREntry(e, &f.storeEntry, saveWaiter)
+	saveMSHREntry(e, &f.storeEntry)
 }
 
-func saveMSHREntry(e *snapshot.Encoder, m *MSHREntry, saveWaiter func(*snapshot.Encoder, interface{})) {
+func saveMSHREntry(e *snapshot.Encoder, m *MSHREntry) {
 	e.Bool(m.inUse)
 	if !m.inUse {
 		return
@@ -72,14 +71,12 @@ func saveMSHREntry(e *snapshot.Encoder, m *MSHREntry, saveWaiter func(*snapshot.
 	e.Int(m.AcksLeft)
 	e.U64(m.Gen)
 	e.Bool(m.storeSlot)
-	e.Int(len(m.Waiters))
-	for _, w := range m.Waiters {
-		saveWaiter(e, w)
-	}
+	e.U64s(m.Waiters)
 }
 
-// LoadState restores the MSHR file; loadWaiter decodes each waiter token.
-func (f *MSHRFile) LoadState(d *snapshot.Decoder, loadWaiter func(*snapshot.Decoder) interface{}) {
+// LoadState restores the MSHR file. Waiter sequence numbers load as
+// saved; the owner checks that each one names a waiting operation.
+func (f *MSHRFile) LoadState(d *snapshot.Decoder) {
 	d.Expect("mshr")
 	f.allocSeq = d.U64()
 	f.AllocFails = d.U64()
@@ -88,12 +85,12 @@ func (f *MSHRFile) LoadState(d *snapshot.Decoder, loadWaiter func(*snapshot.Deco
 		return
 	}
 	for i := range f.general {
-		loadMSHREntry(d, &f.general[i], loadWaiter)
+		loadMSHREntry(d, &f.general[i])
 	}
-	loadMSHREntry(d, &f.storeEntry, loadWaiter)
+	loadMSHREntry(d, &f.storeEntry)
 }
 
-func loadMSHREntry(d *snapshot.Decoder, m *MSHREntry, loadWaiter func(*snapshot.Decoder) interface{}) {
+func loadMSHREntry(d *snapshot.Decoder, m *MSHREntry) {
 	*m = MSHREntry{}
 	if !d.Bool() {
 		return
@@ -106,13 +103,5 @@ func loadMSHREntry(d *snapshot.Decoder, m *MSHREntry, loadWaiter func(*snapshot.
 	m.AcksLeft = d.Int()
 	m.Gen = d.U64()
 	m.storeSlot = d.Bool()
-	// Each waiter encodes to at least one byte.
-	n := d.Count(1)
-	if n == 0 {
-		return
-	}
-	m.Waiters = make([]interface{}, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Waiters = append(m.Waiters, loadWaiter(d))
-	}
+	m.Waiters = d.U64s()
 }

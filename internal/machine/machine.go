@@ -227,14 +227,11 @@ func New(cfg Config) *Machine {
 				seng = sim.NewEngine(m.fire)
 			}
 			ep := m.Net.NewEndpoint(seng)
-			seng.AddQuiescer(ep)
 			m.shards = append(m.shards, &shard{
 				eng: seng, ep: ep,
 				lo: k * m.nodesPS, hi: (k + 1) * m.nodesPS,
 			})
 		}
-	} else {
-		m.Eng.AddQuiescer(m.Net)
 	}
 
 	smtp := cfg.Model == SMTp

@@ -280,6 +280,7 @@ func (m *Machine) Restore(b []byte) error {
 	}
 
 	d.Expect("evts")
+	deferred := make([]int, len(m.Nodes)) // pending KMCDeferred events per node
 	for i, ne := 0, d.Int(); i < ne && d.Err() == nil; i++ {
 		at := sim.Cycle(d.U64())
 		pos := [3]uint64{d.U64(), d.U64(), d.U64()}
@@ -299,9 +300,22 @@ func (m *Machine) Restore(b []byte) error {
 		if err := m.checkEvent(desc); err != nil {
 			return err
 		}
+		if desc.Kind == memctrl.KMCDeferred {
+			deferred[desc.Owner]++
+		}
 		m.engineOf(desc.Owner).RestoreEvent(at, pos, evSeq, desc)
 	}
-	return d.Err()
+	if d.Err() != nil {
+		return d.Err()
+	}
+	// Each in-transit local slot is filled by exactly one deferred
+	// enqueue: an orphaned slot would shrink the queue for good.
+	for i, n := range m.Nodes {
+		if want := n.MC.InTransitLocal(); deferred[i] != want {
+			return fmt.Errorf("machine: node %d has %d in-transit local requests but %d pending deferred enqueues", i, want, deferred[i])
+		}
+	}
+	return nil
 }
 
 // checkEvent validates one snapshotted event before restore pushes it: its

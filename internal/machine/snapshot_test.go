@@ -8,6 +8,7 @@ import (
 
 	"smtpsim/internal/addrmap"
 	"smtpsim/internal/isa"
+	"smtpsim/internal/memctrl"
 	"smtpsim/internal/sim"
 )
 
@@ -432,4 +433,42 @@ func TestRestoreRejectsCorruptMemSection(t *testing.T) {
 	if err := sharingMachine(SMTp).Restore(snap); err != nil {
 		t.Fatalf("uncorrupted snapshot: %v", err)
 	}
+}
+
+// TestRestoreMatchesDeferredEnqueues: on a non-integrated controller
+// (Base) each in-transit local request holds a queue slot that exactly one
+// pending KMCDeferred event fills. Handing that event to another node
+// leaves one slot that nothing will ever fill and an event with no slot to
+// fill, so Restore must reject the snapshot.
+func TestRestoreMatchesDeferredEnqueues(t *testing.T) {
+	m := sharingMachine(Base)
+	for k := 0; k < 64; k++ {
+		if _, done := m.Run(SnapshotAlign); done {
+			break
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The event list: count, then 97-byte events (due cycle, three
+		// position lanes, sequence, owning node, kind, six arguments).
+		events := bytes.Index(snap, []byte("\x04evts")) + len("\x04evts")
+		for i := 0; i < int(binary.LittleEndian.Uint64(snap[events:])); i++ {
+			owner := events + 8 + 97*i + 40
+			if snap[owner+8] != memctrl.KMCDeferred {
+				continue
+			}
+			bad := bytes.Clone(snap)
+			o := binary.LittleEndian.Uint64(snap[owner:])
+			binary.LittleEndian.PutUint64(bad[owner:], (o+1)%4)
+			if err := sharingMachine(Base).Restore(bad); err == nil {
+				t.Fatalf("Restore accepted node %d's deferred enqueue handed to node %d", o, (o+1)%4)
+			}
+			if err := sharingMachine(Base).Restore(snap); err != nil {
+				t.Fatalf("uncorrupted snapshot: %v", err)
+			}
+			return
+		}
+	}
+	t.Fatal("no snapshot point held a deferred enqueue")
 }

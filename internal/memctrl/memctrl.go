@@ -25,6 +25,11 @@ import (
 type Backend interface {
 	// CanAccept reports whether a new handler may be dispatched now.
 	CanAccept() bool
+	// TraceBuf returns the empty buffer the next handler's trace is
+	// written into; the backend owns it (the SMTp dispatch slot, or the
+	// protocol processor's last trace). Must only be called when
+	// CanAccept is true.
+	TraceBuf() []isa.Instr
 	// Start begins executing a handler trace. Must only be called when
 	// CanAccept is true.
 	Start(trace []isa.Instr)
@@ -54,13 +59,11 @@ type Config struct {
 	// PIExtraCycles models the processor<->controller bus crossing of a
 	// non-integrated controller (Base); zero for integrated controllers.
 	PIExtraCycles sim.Cycle
-	// ProtoBusXferCyc is the SMTp protocol-miss bus transfer time (the
-	// separate 64-bit bus of §2.1).
-	ProtoBusXferCyc sim.Cycle
-	// MemReadTableCap is the initial capacity of the in-flight SDRAM read
-	// table (grown as the touched-line footprint demands; 1024).
-	MemReadTableCap int
 }
+
+// readTableCap is the initial capacity of the in-flight SDRAM read table,
+// which grows as the touched-line footprint demands.
+const readTableCap = 1024
 
 // MC is one node's memory controller.
 type MC struct {
@@ -79,17 +82,16 @@ type MC struct {
 
 	// Allocation-free dispatch machinery: dispatch pops the next message
 	// into cur, which the reused handler context borrows; handler effects
-	// live in a recycled arena; handler traces append into recycled
-	// buffers returned by the backend on completion.
-	cur       network.Message
-	effects   *coherence.EffectArena
-	traceFree [][]isa.Instr
-	hctx      coherence.Ctx
+	// live in a recycled arena; handler traces append into the backend's
+	// own buffer (Backend.TraceBuf).
+	cur     network.Message
+	effects *coherence.EffectArena
+	hctx    coherence.Ctx
 
 	sdramBusy sim.Cycle
 	memReads  *readTable // line -> SDRAM data ready time
 
-	protoBusy sim.Cycle // separate protocol-miss bus (SMTp)
+	protoBusy sim.Cycle // separate protocol-miss bus (SMTp), at SDRAM bandwidth
 
 	// Statistics.
 	Dispatched     uint64
@@ -134,13 +136,7 @@ func (mc *MC) RegisterMetrics(s *stats.Scope) {
 // of elided ticks when the kernel skips an idle window, during which the
 // queues are necessarily frozen).
 func (mc *MC) sampleQueuesN(count uint64) {
-	n := 0
-	for i := range mc.local {
-		if mc.local[i].arrived {
-			n++
-		}
-	}
-	mc.localDepth.SampleN(n, count)
+	mc.localDepth.SampleN(mc.arrivedLocal(), count)
 	for vc := range mc.in {
 		mc.vcDepth[vc].SampleN(mc.in[vc].size, count)
 	}
@@ -155,9 +151,6 @@ func New(cfg Config, eng *sim.Engine, env coherence.Env, node NodeIface, net net
 	if cfg.LocalQueueCap == 0 {
 		cfg.LocalQueueCap = 16
 	}
-	if cfg.MemReadTableCap == 0 {
-		cfg.MemReadTableCap = 1024
-	}
 	mc := &MC{
 		cfg:      cfg,
 		eng:      eng,
@@ -166,7 +159,7 @@ func New(cfg Config, eng *sim.Engine, env coherence.Env, node NodeIface, net net
 		net:      net,
 		effects:  coherence.NewEffectArena(),
 		table:    coherence.DefaultTable(),
-		memReads: newReadTable(cfg.MemReadTableCap),
+		memReads: newReadTable(readTableCap),
 	}
 	mc.hctx.Effects = mc.effects
 	return mc
@@ -237,6 +230,22 @@ func (mc *MC) QueuedMessages() int {
 	return mc.queued
 }
 
+// InTransitLocal reports the local slots whose request is still crossing
+// the system bus; each has one pending KMCDeferred event to fill it.
+func (mc *MC) InTransitLocal() int {
+	return len(mc.local) - mc.arrivedLocal()
+}
+
+func (mc *MC) arrivedLocal() int {
+	n := 0
+	for i := range mc.local {
+		if mc.local[i].arrived {
+			n++
+		}
+	}
+	return n
+}
+
 // sdramRead starts (or merges into) a read of line, returning the cycle the
 // data will be available.
 func (mc *MC) sdramRead(line uint64) sim.Cycle {
@@ -276,11 +285,7 @@ func (mc *MC) ProtocolMiss(line uint64, d sim.Desc) {
 		start = mc.protoBusy
 	}
 	ready := start + mc.cfg.SDRAMAccessCyc
-	xfer := mc.cfg.ProtoBusXferCyc
-	if xfer == 0 {
-		xfer = mc.cfg.SDRAMXferCyc
-	}
-	mc.protoBusy = start + xfer
+	mc.protoBusy = start + mc.cfg.SDRAMXferCyc
 	mc.ProtoMisses++
 	mc.eng.Schedule(ready, d)
 }
@@ -372,30 +377,7 @@ func (mc *MC) dispatch() {
 	if t == MsgWBType || t == MsgSHWBType || (t == MsgPIWritebackType && mc.env.HomeOf(m.Addr) == mc.env.NodeID()) {
 		mc.sdramWrite()
 	}
-	trace := mc.table.HandleInto(&mc.hctx, mc.env, m, mc.getTraceBuf())
-	mc.back.Start(trace)
-}
-
-// getTraceBuf returns a recycled handler-trace buffer.
-func (mc *MC) getTraceBuf() []isa.Instr {
-	if k := len(mc.traceFree); k > 0 {
-		b := mc.traceFree[k-1]
-		mc.traceFree[k-1] = nil
-		mc.traceFree = mc.traceFree[:k-1]
-		return b[:0]
-	}
-	return make([]isa.Instr, 0, 64)
-}
-
-// ReleaseTrace returns a handler trace to the buffer free list. The
-// protocol execution backend calls it when the handler completes (PP done;
-// SMTp ldctxt graduation), after which nothing references the buffer —
-// every trace instruction was copied by value into its uop.
-func (mc *MC) ReleaseTrace(t []isa.Instr) {
-	if cap(t) == 0 {
-		return
-	}
-	mc.traceFree = append(mc.traceFree, t)
+	mc.back.Start(mc.table.HandleInto(&mc.hctx, mc.env, m, mc.back.TraceBuf()))
 }
 
 // Aliases to avoid exporting coherence constants through this package's API.

@@ -12,28 +12,21 @@ import (
 type PPBackend struct {
 	Engine *ppengine.Engine
 	mc     *MC
-	cur    []isa.Instr // trace being executed, recycled on completion
 }
 
-// NewPPBackend builds the backend; effects fire into the controller, and
-// the handler's trace buffer is recycled when the PP finishes it.
+// NewPPBackend builds the backend; effects fire into the controller.
 func NewPPBackend(cfg ppengine.Config, mc *MC) *PPBackend {
-	b := &PPBackend{mc: mc}
-	b.Engine = ppengine.New(cfg, mc.FireEffect, func() {
-		if b.cur != nil {
-			mc.ReleaseTrace(b.cur)
-			b.cur = nil
-		}
-	})
-	return b
+	return &PPBackend{Engine: ppengine.New(cfg, mc.FireEffect), mc: mc}
 }
 
 // CanAccept implements Backend.
 func (b *PPBackend) CanAccept() bool { return !b.Engine.Busy() }
 
+// TraceBuf implements Backend: the idle engine's last trace, emptied.
+func (b *PPBackend) TraceBuf() []isa.Instr { return b.Engine.TraceBuf() }
+
 // Start implements Backend.
 func (b *PPBackend) Start(trace []isa.Instr) {
-	b.cur = trace
 	if !b.Engine.Start(trace) {
 		panic("memctrl: PP backend Start while busy")
 	}

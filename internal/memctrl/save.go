@@ -173,7 +173,7 @@ func (mc *MC) LoadState(d *snapshot.Decoder) {
 	mc.sdramBusy = sim.Cycle(d.U64())
 	mc.protoBusy = sim.Cycle(d.U64())
 
-	mc.memReads = newReadTable(mc.cfg.MemReadTableCap)
+	mc.memReads = newReadTable(readTableCap)
 	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
 		k := d.U64()
 		mc.memReads.put(k, sim.Cycle(d.U64()))
@@ -207,9 +207,7 @@ func loadPeak(d *snapshot.Decoder, p *stats.Peak) {
 	p.SetState(max, samples, sum)
 }
 
-// SaveState serializes the protocol-processor backend: the engine plus the
-// recycling alias to the in-flight trace (restored by re-aliasing the
-// engine's restored trace).
+// SaveState serializes the protocol-processor backend: its engine.
 func (b *PPBackend) SaveState(e *snapshot.Encoder) {
 	b.Engine.SaveState(e, b.mc.SaveInstr)
 }
@@ -218,5 +216,4 @@ func (b *PPBackend) SaveState(e *snapshot.Encoder) {
 // the controller's arena.
 func (b *PPBackend) LoadState(d *snapshot.Decoder) {
 	b.Engine.LoadState(d, b.mc.LoadInstr)
-	b.cur = b.Engine.CurrentTrace()
 }

@@ -272,16 +272,6 @@ func (n *Network) totBytesSent() uint64 {
 // cross-shard sends count as in flight until their delivery fires).
 func (n *Network) InFlight() uint64 { return n.totSent() - n.totDelivered() }
 
-// NextWork implements sim.Quiescer. The network holds no clocked state:
-// every in-flight message is a scheduled delivery event, and the kernel
-// never skips past a pending event, so even a full interconnect imposes no
-// extra bound — the earliest delivery already caps the jump. Registered via
-// AddQuiescer so the contract is explicit (and checked) rather than relying
-// on the network simply not being a Clocked.
-func (n *Network) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	return sim.NoWork, true
-}
-
 // RegisterMetrics publishes the interconnect's counters under the given
 // scope: message and byte totals, link-contention waits, and the
 // in-flight gauge the drain check uses.

@@ -72,14 +72,6 @@ func (e *Endpoint) Send(m Message) {
 	e.staged = append(e.staged, stagedSend{m: m, at: e.eng.Now(), pos: e.eng.Pos(), seq: e.seq})
 }
 
-// NextWork implements sim.Quiescer for the shard engine: like the serial
-// network, every in-flight message is a scheduled delivery event (staged
-// sends only become visible to other shards at a sync point, which is also
-// a skip boundary), so the endpoint itself never bounds a jump.
-func (e *Endpoint) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	return sim.NoWork, true
-}
-
 // Fire runs a KDeliver event on a sharded machine: the message the
 // descriptor carries is unpacked and handed to the network's deliver
 // callback.

@@ -95,7 +95,6 @@ func New(cfg Config) *Node {
 		n.MC.SetBackend(n.PP)
 	} else {
 		n.MC.SetBackend(n.Pipe.Backend())
-		n.Pipe.SetTraceRelease(n.MC.ReleaseTrace)
 	}
 	cfg.Engine.AddClocked(n.Pipe, 1, 0)
 	// The core ticks lazily: due-but-idle cycles defer until input arrives

@@ -5,7 +5,9 @@ import (
 
 	"smtpsim/internal/addrmap"
 	"smtpsim/internal/cache"
+	"smtpsim/internal/coherence"
 	"smtpsim/internal/directory"
+	"smtpsim/internal/isa"
 	"smtpsim/internal/memctrl"
 	"smtpsim/internal/network"
 	"smtpsim/internal/pipeline"
@@ -191,5 +193,70 @@ func TestLoadStateRejectsCorruptParkedCount(t *testing.T) {
 		if d.Err() == nil {
 			t.Fatalf("LoadState accepted %d parked messages", cnt)
 		}
+	}
+}
+
+// streamOf feeds a fixed instruction slice.
+type streamOf struct {
+	ins []isa.Instr
+	pos int
+}
+
+func (s *streamOf) Peek() *isa.Instr {
+	if s.pos >= len(s.ins) {
+		return nil
+	}
+	return &s.ins[s.pos]
+}
+func (s *streamOf) Advance()   { s.pos++ }
+func (s *streamOf) Done() bool { return s.pos >= len(s.ins) }
+
+// TestLoadStateRejectsParkedWithoutMiss: only a refill or NAK for its line
+// replays a parked intervention, so restoring one whose line has no
+// outstanding miss is an error (the resumed run could never finish). The
+// same intervention parked behind a real miss restores.
+func TestLoadStateRejectsParkedWithoutMiss(t *testing.T) {
+	line := uint64(addrmap.PageSize) // homed on node 1
+	inval := network.Message{Src: 1, Dst: 0, VC: network.VCIntervention, Type: uint8(coherence.MsgINVAL), Addr: line}
+	save := func(n *Node) []byte {
+		e := snapshot.NewEncoder()
+		n.SaveState(e)
+		return e.Finish()
+	}
+	load := func(b []byte) error {
+		n, _, _ := buildNode(t, 0, 2, false)
+		d, err := snapshot.NewDecoder(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.LoadState(d)
+		return d.Err()
+	}
+
+	n, eng, _, fired := buildNodeLog(t, 0, 2, false)
+	n.parked[line] = []network.Message{inval}
+	if err := load(save(n)); err == nil {
+		t.Fatal("LoadState accepted an intervention parked with no miss outstanding")
+	}
+	delete(n.parked, line)
+
+	// A load of the line misses; the core's own events (the instruction
+	// fill) fire, everything else is dropped.
+	n.Pipe.SetSource(0, &streamOf{ins: []isa.Instr{{PC: addrmap.AppCodeBase, Op: isa.OpLoad, Dst: 1, Addr: line, Size: 8}}})
+	for i := 0; i < 10000 && !n.Pipe.HasOutstanding(line); i++ {
+		eng.Step()
+		for _, f := range *fired {
+			if f.d.Kind < network.KDeliver {
+				n.Pipe.Fire(f.d)
+			}
+		}
+		*fired = (*fired)[:0]
+	}
+	n.OnNetMessage(inval)
+	if n.ParkedInterventions() != 1 {
+		t.Fatal("the intervention did not park behind the outstanding miss")
+	}
+	if err := load(save(n)); err != nil {
+		t.Fatalf("LoadState rejected an intervention parked behind a miss: %v", err)
 	}
 }

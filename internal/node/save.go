@@ -44,7 +44,9 @@ func (n *Node) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState restores state saved by SaveState into a node built from the
-// same configuration.
+// same configuration. An intervention parked for a line with no
+// outstanding miss fails the restore: only that miss's refill or NAK
+// would ever replay it.
 func (n *Node) LoadState(d *snapshot.Decoder) {
 	d.Expect("node")
 	n.Mem.LoadState(d)
@@ -52,6 +54,7 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 	n.Dir.Stores = d.U64()
 
 	n.parked = make(map[uint64][]network.Message)
+	var lines []uint64 // the parked lines in stream order
 	for i, nl := 0, d.Int(); i < nl && d.Err() == nil; i++ {
 		line := d.U64()
 		msgs := make([]network.Message, d.Count(network.MessageBytes))
@@ -59,6 +62,7 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 			network.DecodeMessage(d, &msgs[j])
 		}
 		n.parked[line] = msgs
+		lines = append(lines, line)
 	}
 	n.DeferredInterventions = d.U64()
 
@@ -71,4 +75,9 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 		n.PP.LoadState(d)
 	}
 	n.Pipe.LoadState(d, n.MC.LoadInstr)
+	for _, line := range lines {
+		if d.Err() == nil && !n.Pipe.HasOutstanding(line) {
+			d.Fail("interventions parked for line %#x, which has no outstanding miss", line)
+		}
+	}
 }

@@ -59,7 +59,7 @@ func (p *Pipeline) retireable(u *uop, t *thread, now sim.Cycle) bool {
 func (p *Pipeline) retire(u *uop, t *thread, now sim.Cycle) {
 	switch u.in.Op {
 	case isa.OpStore:
-		p.storeBuf = append(p.storeBuf, &storeEntry{u: u})
+		p.storeBuf = append(p.storeBuf, storeEntry{seq: u.seq, addr: u.in.Addr, tid: u.tid})
 	case isa.OpLdctxt:
 		p.proto.handlerDone()
 	case isa.OpSyncWait:
@@ -91,9 +91,5 @@ func (p *Pipeline) retire(u *uop, t *thread, now sim.Cycle) {
 	}
 	t.robPop()
 	p.Retired[u.tid]++
-	if u.in.Op != isa.OpStore {
-		// Stores stay referenced by their store-buffer entry until they
-		// perform; everything else is unreachable now.
-		p.freeUop(u)
-	}
+	p.freeUop(u)
 }

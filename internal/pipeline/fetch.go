@@ -110,7 +110,7 @@ func (p *Pipeline) fetch(now sim.Cycle) {
 			p.consumeFetch(t)
 			p.seq++
 			u := p.newUop()
-			u.in, u.tid, u.seq, u.haveQ, u.brCkpt, u.counted = in, t.id, p.seq, true, -1, true
+			u.in, u.tid, u.seq, u.brCkpt, u.counted = in, t.id, p.seq, -1, true
 			u.wrongPath = in.Flags&isa.FlagWrongPath != 0
 			stop := false
 			if in.Op == isa.OpBranch && !u.wrongPath {

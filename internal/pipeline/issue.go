@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"smtpsim/internal/isa"
 	"smtpsim/internal/sim"
 )
@@ -87,9 +89,6 @@ func (p *Pipeline) issueMem(now sim.Cycle) {
 	seen := p.seen
 	// The LSQ is kept in age order per thread by construction (appends).
 	for _, u := range p.lsq {
-		if u.squashed {
-			continue
-		}
 		if seen[u.tid] {
 			continue
 		}
@@ -180,54 +179,29 @@ func (p *Pipeline) resolveBranch(u *uop, now sim.Cycle) {
 	u.brCkpt = -1
 }
 
-// squashAfter removes every instruction younger than u in u's thread. By
-// construction (fetch stops supplying real instructions the moment a
-// misprediction is detected) the squashed instructions are wrong-path
-// dummies and never own memory-system state.
+// squashAfter removes every instruction younger than u in u's thread.
+// Fetch stops supplying real instructions the moment a misprediction is
+// detected, so every squashed instruction is a wrong-path dummy: an
+// integer ALU op that can hold an integer register, an integer-queue slot
+// and an in-flight execution, and never memory-system state.
 func (p *Pipeline) squashAfter(t *thread, u *uop) {
 	n := 0
 	for t.robTail() != nil && t.robTail() != u {
 		v := t.robTailPop()
-		v.squashed = true
+		p.squash(t, v)
 		n++
-		p.SquashedUops[t.id]++
 		if v.physDst >= 0 {
 			// Restore happens via the checkpoint; the speculative register
 			// returns to the free list.
-			if v.in.Dst.IsFP() {
-				p.fpFree.release(v.physDst)
-			} else {
-				p.intFree.release(v.physDst)
-			}
-		}
-		if v.brCkpt >= 0 {
-			p.ckptFree(v.brCkpt)
-			v.brCkpt = -1
-		}
-		if v.inLSQ {
-			p.lsq = removeUop(p.lsq, v)
-			v.inLSQ = false
+			p.intFree.release(v.physDst)
 		}
 		if v.inIQ {
 			p.intQ = removeUop(p.intQ, v)
-			p.fpQ = removeUop(p.fpQ, v)
 			v.inIQ = false
 		}
-		if v.haveQ && v.stage == sFetched {
-			p.decodeQ = removeUop(p.decodeQ, v)
-		}
-		if v.stage == sDecoded {
-			p.renameQ = removeUop(p.renameQ, v)
-		}
-		// frontCount: counted from fetch until issue.
-		if v.counted {
-			v.counted = false
-			t.frontCount--
-		}
-		// Nothing references the op any more unless it is mid-execution
-		// (writeback drops it) or parked on an MSHR / protocol-retry timer
-		// (the refill's squashed-waiter skip drops it).
-		if !v.waitingMem && !(v.issued && v.stage != sDone) {
+		// An op mid-execution stays on the in-flight list until writeback
+		// drops it; nothing else references a squashed op.
+		if !(v.issued && v.stage != sDone) {
 			p.freeUop(v)
 		}
 	}
@@ -237,13 +211,8 @@ func (p *Pipeline) squashAfter(t *thread, u *uop) {
 		kept := (*q)[:0]
 		for _, v := range *q {
 			if v.tid == t.id && v.seq > u.seq {
-				v.squashed = true
+				p.squash(t, v)
 				n++
-				p.SquashedUops[t.id]++
-				if v.counted {
-					v.counted = false
-					t.frontCount--
-				}
 				p.freeUop(v) // never issued, referenced only by this queue
 				continue
 			}
@@ -254,5 +223,19 @@ func (p *Pipeline) squashAfter(t *thread, u *uop) {
 	if n > 0 {
 		p.SquashCycles[t.id]++
 	}
-	// Instructions executing in flight are skipped lazily in writeback.
+}
+
+// squash marks v squashed, counts it, and takes it out of the thread's
+// ICOUNT (counted from fetch until issue). Only a wrong-path dummy may be
+// squashed: anything else could hold state squashAfter does not release.
+func (p *Pipeline) squash(t *thread, v *uop) {
+	if v.in.Flags&isa.FlagWrongPath == 0 {
+		panic(fmt.Sprintf("pipeline: squashing correct-path %v (seq %d)", v.in.Op, v.seq))
+	}
+	v.squashed = true
+	p.SquashedUops[t.id]++
+	if v.counted {
+		v.counted = false
+		t.frontCount--
+	}
 }

@@ -163,7 +163,7 @@ func (p *Pipeline) execLoad(u *uop, t *thread, now sim.Cycle) bool {
 		return true
 	}
 	u.waitingMem = true
-	if !p.startAppMiss(u, addr, false, cache.ClassApp) {
+	if !p.startAppMiss(u.seq, addr, false, cache.ClassApp) {
 		// No MSHR: yield the AGU and retry until one frees up.
 		u.issued = false
 		u.waitingMem = false
@@ -188,7 +188,7 @@ func (p *Pipeline) protoL2Miss(u *uop, line uint64, addr uint64, isStore bool) {
 		// wait alongside it.
 		if u != nil {
 			u.waitingMem = true
-			e.Waiters = append(e.Waiters, u)
+			e.Waiters = append(e.Waiters, u.seq)
 		}
 		return
 	}
@@ -201,16 +201,18 @@ func (p *Pipeline) protoL2Miss(u *uop, line uint64, addr uint64, isStore bool) {
 	}
 	if u != nil {
 		u.waitingMem = true
-		e.Waiters = append(e.Waiters, u)
+		e.Waiters = append(e.Waiters, u.seq)
 	}
 	p.down.ProtocolMiss(line, p.protoDoneDesc(line, addr))
 }
 
 // protoMissDone completes a protocol-thread L2 miss: the line is installed,
-// waiters finish, and the MSHR entry frees. The entry is re-found by line
-// rather than captured: protocol entries are freed only by their own
-// completion, so the line maps uniquely back to the allocation — which lets
-// a snapshot rebuild this event from (line, addr) alone.
+// the waiting loads finish, and the MSHR entry frees. The entry is re-found
+// by line rather than captured: protocol entries are freed only by their
+// own completion, so the line maps uniquely back to the allocation — which
+// lets a snapshot rebuild this event from (line, addr) alone. Its waiters
+// are protocol loads: a draining protocol store registers none (storePoll
+// completes it).
 func (p *Pipeline) protoMissDone(line, addr uint64) {
 	e := p.mshr.Find(line)
 	st := cache.Exclusive
@@ -223,20 +225,33 @@ func (p *Pipeline) protoMissDone(line, addr uint64) {
 		p.evictAwareL2Fill(line, st)
 	}
 	now := p.eng.Now()
-	for _, w := range e.Waiters {
-		switch v := w.(type) {
-		case *uop:
-			if v.squashed {
-				p.freeUop(v) // last reference was the waiter list
-				continue
-			}
-			p.fillL1DProto(addr)
-			p.loadDone(v, now+1)
-		case *storeEntry:
-			p.performStore(v)
-		}
+	for _, seq := range e.Waiters {
+		p.fillL1DProto(addr)
+		p.loadDone(p.queuedLoad(seq), now+1)
 	}
 	p.mshr.Free(e)
+}
+
+// queuedLoad resolves an MSHR waiter token to its load, which stays in the
+// load/store queue until it retires; nil when the token names none.
+func (p *Pipeline) queuedLoad(seq uint64) *uop {
+	for _, u := range p.lsq {
+		if u.seq == seq && u.in.Op == isa.OpLoad {
+			return u
+		}
+	}
+	return nil
+}
+
+// storeIndex returns the store-buffer index of the committed store with
+// sequence number seq, or -1.
+func (p *Pipeline) storeIndex(seq uint64) int {
+	for i := range p.storeBuf {
+		if p.storeBuf[i].seq == seq {
+			return i
+		}
+	}
+	return -1
 }
 
 // fillL1D installs the L1D subline for addr (after an L2 hit or refill).
@@ -285,28 +300,25 @@ func (p *Pipeline) execPrefetch(u *uop, t *thread, now sim.Cycle) {
 		return
 	}
 	// Non-binding: dropped when resources are busy.
-	p.startAppMiss(nil, addr, excl, cache.ClassApp)
+	p.startAppMiss(0, addr, excl, cache.ClassApp)
 }
 
 // startAppMiss allocates (or joins) an MSHR for an application L2 miss and
-// sends the processor-interface request. waiter may be a *uop (load), a
-// *storeEntry, or nil (prefetch).
-func (p *Pipeline) startAppMiss(waiter interface{}, addr uint64, excl bool, class cache.MSHRClass) bool {
+// sends the processor-interface request. waiter is the sequence number of
+// the waiting load or buffered store, or 0 (a prefetch: sequence numbers
+// start at 1).
+func (p *Pipeline) startAppMiss(waiter, addr uint64, excl bool, class cache.MSHRClass) bool {
 	line := p.l2.LineAddr(addr)
-	if e := p.mshr.Find(line); e != nil {
-		if waiter != nil {
-			e.Waiters = append(e.Waiters, waiter)
-		}
-		return true
-	}
-	e := p.mshr.Alloc(line, excl, class)
+	e := p.mshr.Find(line)
 	if e == nil {
-		return false
+		if e = p.mshr.Alloc(line, excl, class); e == nil {
+			return false
+		}
+		p.issueMissRequest(e)
 	}
-	if waiter != nil {
+	if waiter != 0 {
 		e.Waiters = append(e.Waiters, waiter)
 	}
-	p.issueMissRequest(e)
 	return true
 }
 
@@ -349,23 +361,19 @@ func (p *Pipeline) DeliverRefill(line uint64, st cache.State, acks int, upgrade 
 	waiters := e.Waiters
 	p.mshr.Free(e)
 	delete(p.refillDue, line)
-	for _, w := range waiters {
-		switch v := w.(type) {
-		case *uop:
-			if v.squashed {
-				p.freeUop(v) // last reference was the waiter list
-				continue
-			}
-			p.fillL1D(p.threads[v.tid], v.in.Addr, false)
-			p.loadDone(v, now+1)
-		case *storeEntry:
-			if l := p.l2.Probe(line); l != nil && l.State.Writable() {
-				p.performStore(v)
-			} else {
-				// The store joined a read miss; the drain logic will issue
-				// the upgrade now that the line is present.
-				v.pending = false
-			}
+	for _, seq := range waiters {
+		if u := p.queuedLoad(seq); u != nil {
+			p.fillL1D(p.threads[u.tid], u.in.Addr, false)
+			p.loadDone(u, now+1)
+			continue
+		}
+		i := p.storeIndex(seq)
+		if l := p.l2.Probe(line); l != nil && l.State.Writable() {
+			p.performStore(i)
+		} else {
+			// The store joined a read miss; the drain logic will issue
+			// the upgrade now that the line is present.
+			p.storeBuf[i].pending = false
 		}
 	}
 }
@@ -461,8 +469,9 @@ func (p *Pipeline) drainStoreBuffer(now sim.Cycle) {
 	}
 	blocked := p.blockedLines[:0]
 scan:
-	for _, cand := range p.storeBuf {
-		line := p.l2.LineAddr(cand.u.in.Addr)
+	for i := range p.storeBuf {
+		cand := &p.storeBuf[i]
+		line := p.l2.LineAddr(cand.addr)
 		for _, b := range blocked {
 			if b == line {
 				continue scan // preserve per-line store order
@@ -475,7 +484,7 @@ scan:
 		// Even a failed drain attempt mutates counters (MSHR alloc failures,
 		// spin statistics) or hierarchy state: not skippable.
 		p.active = true
-		if p.tryDrainStore(cand) {
+		if p.tryDrainStore(i) {
 			break // one store made progress this cycle
 		}
 		// Structurally blocked (MSHR exhausted): must not block younger
@@ -485,79 +494,65 @@ scan:
 	p.blockedLines = blocked[:0]
 }
 
-// tryDrainStore attempts to retire one store-buffer entry; false means it
-// is blocked on a structural resource and a younger entry may go instead.
-func (p *Pipeline) tryDrainStore(e *storeEntry) bool {
-	u := e.u
-	t := p.threads[u.tid]
-	addr := u.in.Addr
-	if t.isProtocol {
-		p.drainProtoStore(e, addr)
+// tryDrainStore attempts to retire store-buffer entry i; false means it is
+// blocked on a structural resource and a younger entry may go instead.
+func (p *Pipeline) tryDrainStore(i int) bool {
+	e := &p.storeBuf[i]
+	if p.threads[e.tid].isProtocol {
+		p.drainProtoStore(i)
 		return true
 	}
-	line := p.l2.LineAddr(addr)
-	if l := p.l2.Probe(line); l != nil && l.State.Writable() {
-		p.performStore(e)
+	if l := p.l2.Probe(e.addr); l != nil && l.State.Writable() {
+		p.performStore(i)
 		return true
 	}
-	if mshrE := p.mshr.Find(line); mshrE != nil {
-		// A miss for this line is already outstanding; wait for it, then
-		// the drain retries.
-		e.pending = true
-		mshrE.Waiters = append(mshrE.Waiters, e)
-		return true
-	}
-	if !p.startAppMiss(e, addr, true, cache.ClassStoreRetire) {
+	// Allocate a miss for the line, or wait on the one already outstanding;
+	// the refill performs the store or lets the drain retry.
+	if !p.startAppMiss(e.seq, e.addr, true, cache.ClassStoreRetire) {
 		return false // MSHRs full
 	}
 	e.pending = true
 	return true
 }
 
-func (p *Pipeline) drainProtoStore(e *storeEntry, addr uint64) {
-	line := p.l2.LineAddr(addr)
+func (p *Pipeline) drainProtoStore(i int) {
+	e := &p.storeBuf[i]
+	line := p.l2.LineAddr(e.addr)
 	inL2 := p.cfg.PerfectProtoCaches || p.l2.Probe(line) != nil || p.l2byp.Probe(line) != nil
 	if inL2 {
-		p.performStore(e)
+		p.performStore(i)
 		return
 	}
 	e.pending = true
-	p.protoL2Miss(nil, line, addr, true)
+	p.protoL2Miss(nil, line, e.addr, true)
 	// protoL2Miss fills the cache; complete the store when the line lands.
-	p.eng.After(4, p.storePollDesc(e.u.seq, line))
+	p.eng.After(4, p.storePollDesc(e.seq, line))
 }
 
 // storePoll completes a draining protocol store once its line has landed in
 // the L2 (or its bypass buffer). The entry is re-found in the store buffer
-// by its uop's sequence number — the poll is the entry's sole completer
+// by its sequence number — the poll is the entry's sole completer
 // (protoL2Miss registered no waiter for it), so a missing entry means only
 // that a snapshot restored a poll whose store already performed.
-func (p *Pipeline) storePoll(uopSeq, line uint64) {
-	var e *storeEntry
-	for _, s := range p.storeBuf {
-		if s.u.seq == uopSeq {
-			e = s
-			break
-		}
-	}
-	if e == nil {
+func (p *Pipeline) storePoll(seq, line uint64) {
+	i := p.storeIndex(seq)
+	if i < 0 {
 		return
 	}
 	if p.l2.Probe(line) != nil || p.l2byp.Probe(line) != nil {
-		p.performStore(e)
+		p.performStore(i)
 		return
 	}
 	p.StorePollSpins++
-	p.eng.After(4, p.storePollDesc(uopSeq, line))
+	p.eng.After(4, p.storePollDesc(seq, line))
 }
 
-// performStore writes a (committed) store's data into the hierarchy and
+// performStore writes committed store i's data into the hierarchy and
 // releases its store-buffer slot.
-func (p *Pipeline) performStore(e *storeEntry) {
-	u := e.u
-	t := p.threads[u.tid]
-	addr := u.in.Addr
-	if t.isProtocol {
+func (p *Pipeline) performStore(i int) {
+	s := &p.storeBuf[i]
+	addr := s.addr
+	if p.threads[s.tid].isProtocol {
 		line := p.l1d.LineAddr(addr)
 		if p.dbyp.Probe(line) != nil {
 			p.dbyp.SetState(line, cache.Modified)
@@ -576,13 +571,5 @@ func (p *Pipeline) performStore(e *storeEntry) {
 		p.fillL1D(nil, addr, true)
 		p.l2.SetState(p.l2.LineAddr(addr), cache.Modified)
 	}
-	// Remove from the buffer (it is always the oldest entry for its slot
-	// semantics; order among different lines does not matter here).
-	for i := range p.storeBuf {
-		if p.storeBuf[i] == e {
-			p.storeBuf = append(p.storeBuf[:i], p.storeBuf[i+1:]...)
-			break
-		}
-	}
-	p.freeUop(u)
+	p.storeBuf = append(p.storeBuf[:i], p.storeBuf[i+1:]...)
 }

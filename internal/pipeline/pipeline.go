@@ -140,10 +140,9 @@ type SyncDistancer interface {
 
 // uop is one in-flight dynamic instruction.
 type uop struct {
-	in    isa.Instr
-	tid   int
-	seq   uint64 // global age
-	haveQ bool   // occupies decode/rename queue accounting
+	in  isa.Instr
+	tid int
+	seq uint64 // global age
 
 	// Register renaming. The rdy* fields are the sources'/destination's
 	// indices into the pipeline's flat ready array (FP bank offset folded in
@@ -222,7 +221,7 @@ type Pipeline struct {
 	brStackUsed int
 	divBusy     int // unpipelined divides in flight
 
-	storeBuf   []*storeEntry
+	storeBuf   []storeEntry
 	wbPending  map[uint64]bool
 	acksWanted map[uint64]int
 
@@ -242,9 +241,6 @@ type Pipeline struct {
 	remoteHome func(addr uint64) bool
 
 	proto *protoState
-	// traceRelease, when set, takes back a finished protocol-handler trace
-	// buffer (the memory controller recycles it for the next dispatch).
-	traceRelease func([]isa.Instr)
 
 	ckptsArr []checkpoint
 	inflight []*uop
@@ -299,8 +295,12 @@ type Pipeline struct {
 	StorePollSpins  uint64
 }
 
+// storeEntry is one committed store in the store buffer: everything the
+// drain needs, copied out of the store's uop when it retires.
 type storeEntry struct {
-	u       *uop
+	seq     uint64 // the store's sequence number (its MSHR waiter token)
+	addr    uint64
+	tid     int
 	pending bool // waiting for a refill
 }
 
@@ -380,7 +380,7 @@ func New(cfg Config, eng *sim.Engine, down Downstream, sync SyncChecker) *Pipeli
 }
 
 // newUop takes an instruction record from the pool; freeUop returns one
-// once nothing can reference it (retired, performed, or squash-drained).
+// once nothing can reference it (retired, or squashed and out of flight).
 func (p *Pipeline) newUop() *uop {
 	if n := len(p.uopPool); n > 0 {
 		u := p.uopPool[n-1]
@@ -420,10 +420,6 @@ func (p *Pipeline) SetSource(tid int, src InstrSource) {
 // (nil before attachment; the snapshot layer uses it to save stream
 // positions alongside the pipeline state).
 func (p *Pipeline) Source(tid int) InstrSource { return p.threads[tid].source }
-
-// SetTraceRelease installs the callback that reclaims a protocol handler's
-// trace buffer once its trailing ldctxt graduates.
-func (p *Pipeline) SetTraceRelease(fn func([]isa.Instr)) { p.traceRelease = fn }
 
 // Backend returns the SMTp protocol backend for the memory controller.
 func (p *Pipeline) Backend() *ProtoBackend {

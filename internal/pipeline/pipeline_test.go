@@ -524,7 +524,8 @@ func TestProtocolThreadExecutesHandler(t *testing.T) {
 	if !b.CanAccept() {
 		t.Fatal("idle protocol thread must accept a handler")
 	}
-	b.Start(protoTrace(1<<41, 1, 4))
+	first := protoTrace(1<<41, 1, 4)
+	b.Start(first)
 	r.run(400)
 	if len(r.down.fired) != 1 || r.down.fired[0] != 1 {
 		t.Fatalf("send effect must fire at graduation: %v", r.down.fired)
@@ -544,6 +545,11 @@ func TestProtocolThreadExecutesHandler(t *testing.T) {
 	}
 	if r.p.proto.qlen != 1 {
 		t.Fatalf("first handler must have popped; queue=%d", r.p.proto.qlen)
+	}
+	// The finished trace's buffer moved into the slot it freed, which the
+	// next dispatch writes into.
+	if buf := b.TraceBuf(); len(buf) != 0 || cap(buf) != cap(first) || &buf[:1][0] != &first[0] {
+		t.Fatal("the free dispatch slot does not hold the finished trace's buffer")
 	}
 	if r.p.Retired[r.p.ProtoTID()] == 0 {
 		t.Fatal("protocol instructions must retire")
@@ -684,5 +690,109 @@ func TestLoadStateRejectsCorruptHandlerTrace(t *testing.T) {
 	newRig(1, true).p.LoadState(d, loadInstr)
 	if err := d.Err(); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
+	}
+}
+
+// TestLoadStateRejectsCorruptStoreBufferAndWaiters patches a real saved
+// core holding a buffered store and a load, each waiting on its own miss:
+// a store-buffer entry naming a context the core lacks, or an MSHR waiter
+// naming neither a queued load nor a buffered store, is a decode error.
+func TestLoadStateRejectsCorruptStoreBufferAndWaiters(t *testing.T) {
+	r := newRig(1, false)
+	ins := []isa.Instr{
+		{Op: isa.OpStore, Src1: 1, Addr: 0x9000, Size: 8},
+		{Op: isa.OpLoad, Dst: 2, Addr: 0xA000, Size: 8},
+	}
+	r.p.SetSource(0, &sliceSource{ins: prog(0x1000, ins...)})
+	var load *uop
+	for i := 0; i < 2000; i++ {
+		r.step()
+		if len(r.p.lsq) == 1 && r.p.lsq[0].waitingMem && len(r.p.storeBuf) == 1 && r.p.storeBuf[0].pending {
+			load = r.p.lsq[0]
+			break
+		}
+	}
+	if load == nil {
+		t.Fatal("never had a buffered store and a load both waiting on misses")
+	}
+	store := r.p.storeBuf[0]
+	e := snapshot.NewEncoder()
+	r.p.SaveState(e, saveTestInstr)
+	b := e.Finish()
+	u64s := func(vs ...uint64) []byte {
+		var p []byte
+		for _, v := range vs {
+			p = binary.LittleEndian.AppendUint64(p, v)
+		}
+		return p
+	}
+	// unique locates pat in b at or after from, failing unless it occurs
+	// exactly once there.
+	unique := func(pat []byte, from int) int {
+		at := bytes.Index(b[from:], pat)
+		if at < 0 || bytes.Index(b[from+at+1:], pat) >= 0 {
+			t.Fatalf("cannot locate %x in the saved state", pat)
+		}
+		return from + at
+	}
+	// A store-buffer entry is its sequence number, address and context.
+	ctx := unique(u64s(store.seq, store.addr, uint64(store.tid)), 0) + 16
+	// The load's MSHR entry lists its one waiter after the file's mark.
+	waiter := unique(u64s(1, load.seq), unique([]byte("\x04mshr"), 0)) + 8
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    uint64
+	}{
+		{"store-buffer context past the last", ctx, 1},
+		{"negative store-buffer context", ctx, ^uint64(0)},
+		{"waiter naming nothing", waiter, load.seq + 1000},
+	} {
+		bad := bytes.Clone(b)
+		binary.LittleEndian.PutUint64(bad[tc.off:], tc.v)
+		d, err := snapshot.NewDecoder(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newRig(1, false).p.LoadState(d, loadTestInstr)
+		if d.Err() == nil {
+			t.Errorf("%s: LoadState accepted the corrupt state", tc.name)
+		}
+	}
+
+	// The uncorrupted state restores.
+	d, err := snapshot.NewDecoder(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRig(1, false).p.LoadState(d, loadTestInstr)
+	if err := d.Err(); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+}
+
+// TestCommittedStoresAllocateNothing: a committed store lives on as a
+// store-buffer value, so a steady stream of store hits retires and drains
+// without allocating.
+func TestCommittedStoresAllocateNothing(t *testing.T) {
+	r := newRig(1, false)
+	data := uint64(0x10000)
+	ins := prog(0x1000,
+		isa.Instr{Op: isa.OpStore, Src1: 1, Addr: data, Size: 8},
+		isa.Instr{Op: isa.OpIntALU, Dst: 2, Src1: 3},
+		isa.Instr{Op: isa.OpStore, Src1: 2, Addr: data + 8, Size: 8},
+		isa.Instr{Op: isa.OpIntALU, Dst: 3, Src1: 1},
+	)
+	r.warm(ins)
+	r.p.l2.Fill(data, cache.Exclusive)
+	r.p.l1d.Fill(data, cache.Exclusive)
+	r.p.SetSource(0, &loopSource{ins: ins})
+	r.run(5000) // TLBs, predictor, queues and pools warm
+	retired := r.p.Retired[0]
+	if allocs := testing.AllocsPerRun(1000, r.eng.Step); allocs != 0 {
+		t.Fatalf("%.2f allocations per cycle of committed stores", allocs)
+	}
+	if r.p.Retired[0]-retired < 1000 {
+		t.Fatalf("only %d instructions retired in 1000 cycles", r.p.Retired[0]-retired)
 	}
 }

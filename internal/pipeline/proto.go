@@ -15,7 +15,9 @@ type protoState struct {
 	// executing handler; queue[1], when present, is the next dispatched
 	// handler (its header is what the executing handler's switch
 	// instruction loads). A fixed two-slot array (the dispatch unit depth)
-	// avoids the per-handler allocation a pointer queue would make.
+	// avoids the per-handler allocation a pointer queue would make. Each
+	// slot owns its trace buffer: the memory controller writes the next
+	// handler into the free slot's buffer (ProtoBackend.TraceBuf).
 	queue [2]handlerRun
 	qlen  int
 
@@ -99,13 +101,11 @@ func (ps *protoState) handlerDone() {
 		panic("pipeline: ldctxt graduated with no handler in flight")
 	}
 	// The trailing ldctxt graduates in program order, so every uop of the
-	// handler has retired (each holding its Instr by value): the trace
-	// buffer can go back to the dispatch unit for reuse.
-	if ps.p.traceRelease != nil {
-		ps.p.traceRelease(ps.queue[0].trace)
-	}
+	// handler has retired (each holding its Instr by value): the finished
+	// trace's buffer moves into the slot this frees, for the next dispatch.
+	done := ps.queue[0].trace
 	ps.queue[0] = ps.queue[1]
-	ps.queue[1] = handlerRun{}
+	ps.queue[1] = handlerRun{trace: done[:0]}
 	ps.qlen--
 	ps.lookAhead = false
 }
@@ -169,6 +169,13 @@ type ProtoBackend struct {
 // executing handler plus one pending request.
 func (b *ProtoBackend) CanAccept() bool {
 	return b.p.proto.qlen < 2
+}
+
+// TraceBuf implements memctrl.Backend: the free dispatch slot's buffer,
+// emptied.
+func (b *ProtoBackend) TraceBuf() []isa.Instr {
+	ps := b.p.proto
+	return ps.queue[ps.qlen].trace[:0]
 }
 
 // Start implements memctrl.Backend.

@@ -81,12 +81,6 @@ func (p *Pipeline) decode(now sim.Cycle) {
 			if u == nil || (u.tid == protoTID) != wantProto {
 				continue
 			}
-			if u.squashed {
-				p.active = true
-				p.decodeQ[i] = nil
-				removed = true
-				continue
-			}
 			if !p.qSpace(len(p.renameQ), p.cfg.RenameQ, u.tid == protoTID) {
 				break // in-order within the section
 			}
@@ -130,12 +124,6 @@ func (p *Pipeline) rename(now sim.Cycle) {
 		for i := 0; i < len(p.renameQ) && width > 0; i++ {
 			u := p.renameQ[i]
 			if u == nil || (u.tid == protoTID) != wantProto {
-				continue
-			}
-			if u.squashed {
-				p.active = true
-				p.renameQ[i] = nil
-				removed = true
 				continue
 			}
 			if !p.tryRename(u, now) {

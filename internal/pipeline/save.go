@@ -167,10 +167,9 @@ func (p *Pipeline) CheckEvent(d sim.Desc) error {
 
 // collectUops gathers every live uop reachable from the core's containers,
 // in a fixed walk order, deduplicated by sequence number (unique per uop).
-// The walk covers uops that live in exactly one container as well as the
-// stragglers outside the common ones: committed stores referenced only by
-// the store buffer, and squashed loads referenced only by an MSHR waiter
-// list until their refill drops them.
+// Every live uop sits in the active list, a front-end queue or the
+// in-flight list: committed stores live on as store-buffer values, and
+// MSHR waiters name loads that stay in the load/store queue.
 func (p *Pipeline) collectUops() []*uop {
 	var out []*uop
 	seen := make(map[uint64]bool)
@@ -204,16 +203,6 @@ func (p *Pipeline) collectUops() []*uop {
 	for _, u := range p.inflight {
 		add(u)
 	}
-	for _, s := range p.storeBuf {
-		add(s.u)
-	}
-	p.mshr.Entries(func(m *cache.MSHREntry) {
-		for _, w := range m.Waiters {
-			if u, ok := w.(*uop); ok {
-				add(u)
-			}
-		}
-	})
 	return out
 }
 
@@ -221,7 +210,6 @@ func saveUop(e *snapshot.Encoder, u *uop, saveInstr func(*snapshot.Encoder, *isa
 	e.U64(u.seq)
 	saveInstr(e, &u.in)
 	e.Int(u.tid)
-	e.Bool(u.haveQ)
 	e.Int(int(u.physDst))
 	e.Int(int(u.oldDst))
 	e.Int(int(u.physSrc1))
@@ -257,7 +245,6 @@ func (p *Pipeline) loadUop(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 	u.seq = d.U64()
 	u.in = loadInstr(d)
 	u.tid = d.Int()
-	u.haveQ = d.Bool()
 	u.physDst = int16(d.Int())
 	u.oldDst = int16(d.Int())
 	u.physSrc1 = int16(d.Int())
@@ -477,25 +464,14 @@ func (p *Pipeline) SaveState(e *snapshot.Encoder, saveInstr func(*snapshot.Encod
 	saveUopList(e, p.lsq)
 	saveUopList(e, p.inflight)
 
-	// Store buffer before the MSHR file: MSHR waiter references resolve
-	// against restored store-buffer entries.
 	e.Int(len(p.storeBuf))
 	for _, s := range p.storeBuf {
-		e.U64(s.u.seq)
+		e.U64(s.seq)
+		e.U64(s.addr)
+		e.Int(s.tid)
 		e.Bool(s.pending)
 	}
-	p.mshr.SaveState(e, func(enc *snapshot.Encoder, w interface{}) {
-		switch v := w.(type) {
-		case *uop:
-			enc.U8('u')
-			enc.U64(v.seq)
-		case *storeEntry:
-			enc.U8('s')
-			enc.U64(v.u.seq)
-		default:
-			panic("pipeline: unknown MSHR waiter type")
-		}
-	})
+	p.mshr.SaveState(e)
 
 	p.l1i.SaveState(e)
 	p.l1d.SaveState(e)
@@ -655,27 +631,26 @@ func (p *Pipeline) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decod
 	p.inflight = p.loadUopList(d, p.inflight)
 
 	p.storeBuf = p.storeBuf[:0]
-	for i, n := 0, d.Int(); i < n && d.Err() == nil; i++ {
-		s := &storeEntry{u: p.uopRef(d, d.U64())}
-		s.pending = d.Bool()
+	n := d.Int()
+	if d.Err() == nil && (n < 0 || n > p.cfg.StoreBuffer) {
+		d.Fail("store buffer holds %d stores, capacity %d", n, p.cfg.StoreBuffer)
+		return
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s := storeEntry{seq: d.U64(), addr: d.U64(), tid: d.Int(), pending: d.Bool()}
+		if d.Err() == nil && (s.tid < 0 || s.tid >= len(p.threads)) {
+			d.Fail("store-buffer entry for context %d, core has %d", s.tid, len(p.threads))
+			return
+		}
 		p.storeBuf = append(p.storeBuf, s)
 	}
-	p.mshr.LoadState(d, func(dec *snapshot.Decoder) interface{} {
-		switch tag := dec.U8(); tag {
-		case 'u':
-			return p.uopRef(dec, dec.U64())
-		case 's':
-			seq := dec.U64()
-			for _, s := range p.storeBuf {
-				if s.u != nil && s.u.seq == seq {
-					return s
-				}
+	p.mshr.LoadState(d)
+	p.mshr.Entries(func(m *cache.MSHREntry) {
+		for _, seq := range m.Waiters {
+			// A protocol miss completes only loads (protoMissDone).
+			if p.queuedLoad(seq) == nil && (m.Class == cache.ClassProtocol || p.storeIndex(seq) < 0) {
+				d.Fail("MSHR waiter %d for line %#x names neither a queued load nor a buffered store", seq, m.LineAddr)
 			}
-			dec.Fail("pipeline: MSHR waiter references unknown store %d", seq)
-			return nil
-		default:
-			dec.Fail("pipeline: unknown MSHR waiter tag %q", tag)
-			return nil
 		}
 	})
 

@@ -68,12 +68,13 @@ type Engine struct {
 	dir *dmCache // nil = perfect
 	ic  *dmCache
 
+	// trace is the handler being executed, busy until pc reaches its end;
+	// the engine keeps it after that as the buffer for the next handler.
 	trace []isa.Instr
 	pc    int
 	stall int
 
 	fire func(effect uint32)
-	done func()
 
 	// Statistics.
 	BusyCycles    uint64
@@ -83,10 +84,9 @@ type Engine struct {
 }
 
 // New builds an engine. fire is invoked with each instruction's effect
-// handle (sends, refills) as the instruction completes; done is invoked
-// when a handler's trailing ldctxt completes.
-func New(cfg Config, fire func(uint32), done func()) *Engine {
-	e := &Engine{cfg: cfg, fire: fire, done: done}
+// handle (sends, refills) as the instruction completes.
+func New(cfg Config, fire func(uint32)) *Engine {
+	e := &Engine{cfg: cfg, fire: fire}
 	if cfg.DirCacheBytes > 0 {
 		e.dir = newDM(cfg.DirCacheBytes, cfg.LineBytes)
 	}
@@ -96,8 +96,13 @@ func New(cfg Config, fire func(uint32), done func()) *Engine {
 	return e
 }
 
-// Busy reports whether a handler is executing.
-func (e *Engine) Busy() bool { return e.trace != nil }
+// Busy reports whether a handler is executing: true until its last
+// instruction completes.
+func (e *Engine) Busy() bool { return e.pc < len(e.trace) }
+
+// TraceBuf returns the engine's last trace, emptied, as the buffer the next
+// handler is written into. Only an idle engine's buffer is free.
+func (e *Engine) TraceBuf() []isa.Instr { return e.trace[:0] }
 
 // Start begins executing a handler trace. Returns false if the engine is
 // already busy.
@@ -150,7 +155,7 @@ func (e *Engine) memStall(in *isa.Instr) int {
 // intra-group dependence, a branch ends the group; a taken branch costs a
 // refetch bubble).
 func (e *Engine) Tick(now sim.Cycle) {
-	if e.trace == nil {
+	if !e.Busy() {
 		return
 	}
 	e.BusyCycles++
@@ -192,10 +197,6 @@ func (e *Engine) Tick(now sim.Cycle) {
 			}
 			break
 		}
-	}
-	if e.pc >= len(e.trace) {
-		e.trace = nil
-		e.done()
 	}
 }
 

@@ -22,15 +22,14 @@ func alu(pc uint64, dst, src isa.Reg) isa.Instr {
 }
 
 func TestDualIssueIndependentOps(t *testing.T) {
-	var done bool
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() { done = true })
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	// Four independent ALU ops: two cycles.
 	tr := []isa.Instr{
 		alu(0, 1, 0), alu(4, 2, 0), alu(8, 3, 0), alu(12, 4, 0),
 	}
 	e.Start(tr)
 	cycles := run(e, 100)
-	if !done {
+	if e.Busy() {
 		t.Fatal("handler did not complete")
 	}
 	if cycles != 2 {
@@ -38,8 +37,27 @@ func TestDualIssueIndependentOps(t *testing.T) {
 	}
 }
 
+// TestIdleEngineLendsItsLastTrace: once a handler completes, the engine is
+// idle and its finished trace is the buffer the next handler is written
+// into.
+func TestIdleEngineLendsItsLastTrace(t *testing.T) {
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
+	tr := []isa.Instr{alu(0, 1, 0), alu(4, 2, 1)}
+	e.Start(tr)
+	if !e.Busy() {
+		t.Fatal("engine idle with a handler to run")
+	}
+	run(e, 100)
+	if e.Busy() {
+		t.Fatal("handler did not complete")
+	}
+	if buf := e.TraceBuf(); len(buf) != 0 || cap(buf) != cap(tr) || &buf[:1][0] != &tr[0] {
+		t.Fatal("the idle engine does not lend its finished trace")
+	}
+}
+
 func TestDependenceBreaksPair(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	// r2 = f(r1) depends on r1 = f(r0): serializes.
 	tr := []isa.Instr{alu(0, 1, 0), alu(4, 2, 1)}
 	e.Start(tr)
@@ -49,7 +67,7 @@ func TestDependenceBreaksPair(t *testing.T) {
 }
 
 func TestOneMemOpPerCycle(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	tr := []isa.Instr{
 		{PC: 0, Op: isa.OpLoad, Dst: 1, Addr: 100},
 		{PC: 4, Op: isa.OpLoad, Dst: 2, Addr: 200},
@@ -61,7 +79,7 @@ func TestOneMemOpPerCycle(t *testing.T) {
 }
 
 func TestTakenBranchBubble(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	tr := []isa.Instr{
 		{PC: 0, Op: isa.OpBranch, Taken: true, Target: 16},
 		alu(16, 1, 0),
@@ -77,7 +95,7 @@ func TestTakenBranchBubble(t *testing.T) {
 
 func TestDirectoryCacheMissStalls(t *testing.T) {
 	dirAddr := addrmap.DirBase + 0x40
-	cold := New(DefaultConfig(512*1024, 10), func(uint32) {}, func() {})
+	cold := New(DefaultConfig(512*1024, 10), func(uint32) {})
 	tr := []isa.Instr{{PC: 0, Op: isa.OpLoad, Dst: 1, Addr: dirAddr}}
 	cold.Start(tr)
 	coldCycles := run(cold, 1000)
@@ -94,7 +112,7 @@ func TestDirectoryCacheMissStalls(t *testing.T) {
 }
 
 func TestPerfectDirectoryCacheNeverMisses(t *testing.T) {
-	e := New(DefaultConfig(0, 10), func(uint32) {}, func() {})
+	e := New(DefaultConfig(0, 10), func(uint32) {})
 	for i := 0; i < 10; i++ {
 		e.Start([]isa.Instr{{PC: 0, Op: isa.OpLoad, Dst: 1, Addr: addrmap.DirBase + uint64(i)*64*1024}})
 		run(e, 1000)
@@ -111,7 +129,7 @@ func TestPerfectDirectoryCacheNeverMisses(t *testing.T) {
 }
 
 func TestICacheMissCharged(t *testing.T) {
-	e := New(DefaultConfig(0, 10), func(uint32) {}, func() {})
+	e := New(DefaultConfig(0, 10), func(uint32) {})
 	e.Start([]isa.Instr{alu(addrmap.CodeBase, 1, 0)})
 	c1 := run(e, 1000)
 	e.Start([]isa.Instr{alu(addrmap.CodeBase, 1, 0)})
@@ -128,7 +146,7 @@ func TestEffectsFireInOrder(t *testing.T) {
 	var fired []uint32
 	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(h uint32) {
 		fired = append(fired, h)
-	}, func() {})
+	})
 	tr := []isa.Instr{
 		{PC: 0, Op: isa.OpIntALU, Dst: 1, Effect: 1},
 		{PC: 4, Op: isa.OpIntALU, Dst: 2, Effect: 2},
@@ -142,7 +160,7 @@ func TestEffectsFireInOrder(t *testing.T) {
 }
 
 func TestStartWhileBusyRejected(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	e.Start([]isa.Instr{alu(0, 1, 0)})
 	if e.Start([]isa.Instr{alu(0, 1, 0)}) {
 		t.Fatal("Start while busy must fail")
@@ -150,7 +168,7 @@ func TestStartWhileBusyRejected(t *testing.T) {
 }
 
 func TestBusyCyclesAccumulate(t *testing.T) {
-	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {}, func() {})
+	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	e.Start([]isa.Instr{alu(0, 1, 0), alu(4, 2, 1)})
 	run(e, 100)
 	if e.BusyCycles != 2 || e.Retired != 2 || e.Handlers != 1 {
@@ -167,7 +185,7 @@ func TestSmallDirCacheMissesMore(t *testing.T) {
 	// Same access stream; the 64KB cache must miss at least as often as the
 	// 512KB one (this is the Int64KB-vs-Int512KB effect).
 	mk := func(bytes int) *Engine {
-		return New(DefaultConfig(bytes, 10), func(uint32) {}, func() {})
+		return New(DefaultConfig(bytes, 10), func(uint32) {})
 	}
 	big, small := mk(512*1024), mk(64*1024)
 	// Touch 2048 distinct directory lines, then re-touch them.
@@ -208,7 +226,7 @@ func TestLoadStateRejectsCorruptTraceLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(Config{LineBytes: 64}, func(uint32) {}, func() {})
+		e := New(Config{LineBytes: 64}, func(uint32) {})
 		e.LoadState(d, loadInstr)
 		if d.Err() == nil {
 			t.Fatalf("LoadState accepted a %d-instruction trace", n)

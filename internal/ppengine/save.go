@@ -46,7 +46,7 @@ func (e *Engine) SaveState(enc *snapshot.Encoder, saveInstr func(*snapshot.Encod
 	if e.ic != nil {
 		e.ic.saveState(enc)
 	}
-	if e.trace == nil {
+	if !e.Busy() {
 		enc.Int(-1)
 		return
 	}
@@ -93,8 +93,8 @@ func (e *Engine) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 		return
 	}
 	pc := d.Int()
-	if d.Err() != nil || pc < 0 || pc > n || n > isa.MaxTraceLen {
-		d.Fail("pp trace pc %d / length %d out of range (pc <= length <= %d)", pc, n, isa.MaxTraceLen)
+	if d.Err() != nil || pc < 0 || pc >= n || n > isa.MaxTraceLen {
+		d.Fail("pp trace pc %d / length %d out of range (pc < length <= %d)", pc, n, isa.MaxTraceLen)
 		return
 	}
 	// Already-retired entries round trip as zero instructions; only
@@ -107,7 +107,3 @@ func (e *Engine) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 	e.pc = pc
 	e.stall = d.Int()
 }
-
-// CurrentTrace exposes the in-flight handler trace so the owning backend
-// can re-alias its recycling reference after a restore.
-func (e *Engine) CurrentTrace() []isa.Instr { return e.trace }

@@ -121,8 +121,7 @@ type Engine struct {
 	seq       uint64
 	fire      func(Desc) // runs each due event (see NewEngine)
 	comps     []clockedEntry
-	extras    []Quiescer // unclocked components consulted before skipping
-	events    []event    // 4-ary min-heap ordered by eventLess
+	events    []event // 4-ary min-heap ordered by eventLess
 	stopped   bool
 	reference bool // never skip a cycle or defer a tick (NewReferenceEngine)
 	skipped   uint64
@@ -281,12 +280,6 @@ func (e *Engine) AddClocked(c Clocked, period, phase Cycle) {
 	from := e.now + 1
 	ce.nextTick = from + (ce.phase+period-from%period)%period
 	e.comps = append(e.comps, ce)
-}
-
-// AddQuiescer registers an unclocked component (one driven purely by
-// events, like the network) whose NextWork still gates cycle skipping.
-func (e *Engine) AddQuiescer(q Quiescer) {
-	e.extras = append(e.extras, q)
 }
 
 // TickHandle lets a lazily-ticked component settle its own deferred ticks
@@ -555,18 +548,6 @@ func (e *Engine) skipTarget(limit Cycle) Cycle {
 		}
 		if bound < target {
 			target = bound
-		}
-		if target <= floor {
-			return floor
-		}
-	}
-	for _, q := range e.extras {
-		next, ok := q.NextWork(e.now)
-		if !ok {
-			return floor
-		}
-		if next < target {
-			target = next
 		}
 		if target <= floor {
 			return floor

@@ -251,38 +251,6 @@ func TestSkipRoundsUpToPeriod(t *testing.T) {
 	}
 }
 
-// busyGate is an unclocked AddQuiescer component; while busy it must block
-// all skipping.
-type busyGate struct{ busy bool }
-
-func (g *busyGate) NextWork(Cycle) (Cycle, bool) {
-	if g.busy {
-		return 0, false
-	}
-	return NoWork, true
-}
-
-func TestAddQuiescerGatesSkipping(t *testing.T) {
-	e, c := newTestEngine()
-	idle := &quiescentComp{}
-	e.AddClocked(idle, 1, 0)
-	gate := &busyGate{busy: true}
-	e.AddQuiescer(gate)
-	e.Schedule(50, c.desc(func() { gate.busy = false }))
-	e.Run(100)
-	if e.SkippedCycles() == 0 {
-		t.Fatal("no cycles skipped after the gate opened")
-	}
-	// Every cycle up to the gate opening had to run for real.
-	real := uint64(len(idle.ticked))
-	if real < 50 {
-		t.Fatalf("only %d real ticks; the busy gate was skipped over", real)
-	}
-	if idle.cycles != 100 {
-		t.Fatalf("per-cycle delta drifted: %d of 100", idle.cycles)
-	}
-}
-
 // scriptedComp drives a pseudo-random busy/idle pattern for the
 // differential test below. Randomness is consumed only during busy ticks,
 // which both engines execute identically, so the script unfolds the same

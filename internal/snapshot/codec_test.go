@@ -1,6 +1,10 @@
 package snapshot
 
-import "testing"
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+)
 
 // TestDecoderCount: a count is accepted only when its items fit in the rest
 // of the stream; a negative or oversized count fails the decoder and reads
@@ -33,6 +37,22 @@ func TestDecoderCount(t *testing.T) {
 		d := decode(tc.count, tc.tail)
 		if n := d.Count(8); n != 0 || d.Err() == nil {
 			t.Errorf("%s: Count = %d, err %v; want 0 and an error", tc.name, n, d.Err())
+		}
+	}
+}
+
+// TestDecoderRejectsOtherVersions: a stream written under another format
+// version fails at the header with the version error. Version 1 streams
+// carried committed stores as uops and tagged MSHR waiters; version 2
+// stores store-buffer entries by value and waiters as sequence numbers.
+func TestDecoderRejectsOtherVersions(t *testing.T) {
+	for _, v := range []uint32{1, Version + 1} {
+		b := binary.LittleEndian.AppendUint32([]byte(Magic), v)
+		b = binary.LittleEndian.AppendUint64(b, 0)
+		_, err := NewDecoder(b)
+		want := fmt.Sprintf("snapshot: format version %d, want %d", v, Version)
+		if err == nil || err.Error() != want {
+			t.Errorf("version %d: NewDecoder error %v, want %q", v, err, want)
 		}
 	}
 }
