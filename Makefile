@@ -57,7 +57,7 @@ fmt:
 # (BENCHMARK.json, perfbench/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig2|AblationBitOps|ExtensionRevive' -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/addrmap/ ./internal/cache/ ./internal/coherence/ ./internal/memctrl/ ./internal/network/ ./internal/pipeline/ ./internal/sim/ ./internal/workload/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/addrmap/ ./internal/cache/ ./internal/coherence/ ./internal/memctrl/ ./internal/network/ ./internal/node/ ./internal/pipeline/ ./internal/sim/ ./internal/workload/
 
 # Run every program under examples/ to completion. Examples check
 # themselves (revive exits non-zero if its two protocol runs diverge), so a

@@ -20,7 +20,9 @@ const (
 // MSHREntry tracks one outstanding line miss. Waiters holds the sequence
 // numbers of the operations waiting on the refill, in join order; the
 // owner (the pipeline's load/store machinery) resolves each one when the
-// refill arrives.
+// refill arrives, before it frees the entry. The slot keeps the waiter
+// array across allocations, so joining a miss allocates nothing once the
+// array has grown.
 type MSHREntry struct {
 	LineAddr  uint64
 	Exclusive bool // ownership (write) request
@@ -122,7 +124,8 @@ func (f *MSHRFile) Alloc(lineAddr uint64, exclusive bool, class MSHRClass) *MSHR
 	if class == ClassStoreRetire && !f.storeEntry.inUse {
 		f.storeEntry = MSHREntry{
 			LineAddr: lineAddr, Exclusive: exclusive, Class: class,
-			Gen: f.allocSeq, inUse: true, storeSlot: true,
+			Waiters: f.storeEntry.Waiters[:0],
+			Gen:     f.allocSeq, inUse: true, storeSlot: true,
 		}
 		return &f.storeEntry
 	}
@@ -130,7 +133,8 @@ func (f *MSHRFile) Alloc(lineAddr uint64, exclusive bool, class MSHRClass) *MSHR
 		if !f.general[i].inUse {
 			f.general[i] = MSHREntry{
 				LineAddr: lineAddr, Exclusive: exclusive, Class: class,
-				Gen: f.allocSeq, inUse: true,
+				Waiters: f.general[i].Waiters[:0],
+				Gen:     f.allocSeq, inUse: true,
 			}
 			return &f.general[i]
 		}
@@ -138,12 +142,13 @@ func (f *MSHRFile) Alloc(lineAddr uint64, exclusive bool, class MSHRClass) *MSHR
 	panic("cache: CanAlloc said yes but no free entry")
 }
 
-// Free releases an entry.
+// Free releases an entry, keeping its waiter array (emptied) for the
+// slot's next allocation: callers must be done reading Waiters.
 func (f *MSHRFile) Free(e *MSHREntry) {
 	if !e.inUse {
 		panic("cache: MSHR double free")
 	}
-	*e = MSHREntry{}
+	*e = MSHREntry{Waiters: e.Waiters[:0]}
 }
 
 // Entries calls fn on every in-use entry (leak checking in tests).

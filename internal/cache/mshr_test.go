@@ -25,6 +25,28 @@ func TestMSHRAllocFindFree(t *testing.T) {
 	}
 }
 
+// TestMSHRWaiterAllocatesNothing: a slot keeps its waiter array across
+// Free and Alloc, so a miss that registers a waiter allocates nothing once
+// the array has grown, and a reallocated entry starts with no waiters.
+func TestMSHRWaiterAllocatesNothing(t *testing.T) {
+	f := NewMSHRFile(4, false)
+	miss := func() {
+		e := f.Alloc(0x100, false, ClassApp)
+		e.Waiters = append(e.Waiters, 7)
+		f.Free(e)
+	}
+	miss()
+	if n := testing.AllocsPerRun(100, miss); n != 0 {
+		t.Fatalf("a miss with one waiter allocates %.2f times, want 0", n)
+	}
+	if e := f.Alloc(0x100, false, ClassStoreRetire); len(e.Waiters) != 0 {
+		t.Fatalf("a fresh entry starts with waiters %v", e.Waiters)
+	}
+	if e := f.Alloc(0x200, false, ClassApp); len(e.Waiters) != 0 {
+		t.Fatalf("a reallocated entry starts with waiters %v", e.Waiters)
+	}
+}
+
 func TestMSHRCapacity(t *testing.T) {
 	f := NewMSHRFile(2, false)
 	if f.Alloc(0, false, ClassApp) == nil || f.Alloc(64, false, ClassApp) == nil {

@@ -367,6 +367,10 @@ func New(cfg Config) *Machine {
 	if cfg.SampleInterval > 0 {
 		m.recorder = stats.NewRecorder(m.Reg, cfg.SampleCapacity)
 		m.Eng.AddClocked(sim.ClockedFunc(func(now sim.Cycle) {
+			// A sample reads every component's counters: settle the
+			// lazily-deferred ticks first, so the series is the same on
+			// both kernels.
+			m.Eng.FlushDeferred()
 			m.recorder.Record(uint64(now))
 		}), cfg.SampleInterval, 0)
 	}
@@ -458,7 +462,7 @@ func (m *Machine) SkippedCycles() uint64 {
 	return n
 }
 
-// flushDeferred settles lazily-deferred core ticks on every engine.
+// flushDeferred settles lazily-deferred component ticks on every engine.
 func (m *Machine) flushDeferred() {
 	if len(m.shards) == 0 {
 		m.Eng.FlushDeferred()

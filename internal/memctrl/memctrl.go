@@ -107,6 +107,10 @@ type MC struct {
 	// Input-queue depth trackers, sampled once per MC clock.
 	localDepth stats.Peak
 	vcDepth    [network.NumVCs]stats.Peak
+
+	// lazyH settles lazily-deferred idle ticks of this controller (nil when
+	// it is not registered for lazy ticking, e.g. in unit tests).
+	lazyH *sim.TickHandle
 }
 
 // RegisterMetrics publishes the controller's counters under the given
@@ -174,6 +178,30 @@ func (mc *MC) SetBackend(b Backend) { mc.back = b }
 // Cfg returns the configuration.
 func (mc *MC) Cfg() Config { return mc.cfg }
 
+// BindLazy installs the engine's lazy-tick handle for this controller (see
+// sim.MakeLazy). Must be called before the run starts. A backend outside
+// this package (the SMTp protocol thread) is handed the same handle, to
+// settle the controller before its CanAccept answer changes.
+func (mc *MC) BindLazy(h *sim.TickHandle) { mc.lazyH = h }
+
+// settle is the single funnel for input that changes what an idle
+// controller tick reads: the arrived queue contents, and the backend's
+// CanAccept answer (from which Skipped replays the fairness toggles). It
+// applies any lazily-deferred idle ticks against the still-untouched
+// state, so every such change must pass through here BEFORE it happens.
+// The settled controller ticks live from its next slot; one that is still
+// idle then simply defers again.
+//
+// FireEffect and ProtocolMiss need no settle: they touch the effect arena,
+// the SDRAM and protocol-bus reservations and counters, none of which an
+// idle tick reads, and every queue change they cause arrives through
+// EnqueueNet.
+func (mc *MC) settle() {
+	if mc.lazyH != nil {
+		mc.lazyH.Settle()
+	}
+}
+
 // localSlot is one entry of the local miss interface. A request crossing a
 // non-integrated controller's system bus holds its slot unarrived, so it
 // counts against LocalQueueCap and keeps its place in dispatch order.
@@ -186,6 +214,7 @@ type localSlot struct {
 // writeback) of message type t for line into the local miss interface.
 // Returns false when the queue is full — the caller must retry.
 func (mc *MC) EnqueueLocal(t uint8, line uint64) bool {
+	mc.settle()
 	if len(mc.local) >= mc.cfg.LocalQueueCap {
 		mc.LocalFull++
 		return false
@@ -208,6 +237,7 @@ func (mc *MC) EnqueueLocal(t uint8, line uint64) bool {
 // localDeferred fills the oldest unarrived local slot with a request that
 // has crossed the system bus.
 func (mc *MC) localDeferred(m *network.Message) {
+	mc.settle()
 	mc.queued++
 	for i := range mc.local {
 		if !mc.local[i].arrived {
@@ -221,6 +251,7 @@ func (mc *MC) localDeferred(m *network.Message) {
 // EnqueueNet queues an arriving network message into its virtual network's
 // input queue.
 func (mc *MC) EnqueueNet(m network.Message) {
+	mc.settle()
 	mc.in[m.VC].push(&m)
 	mc.queued++
 }
@@ -337,10 +368,10 @@ func (mc *MC) Tick(now sim.Cycle) {
 }
 
 // NextWork implements sim.Quiescer. With queued messages the controller has
-// work every MC clock; with empty queues nothing happens until a message
-// arrives — and every arrival path (EnqueueLocal, EnqueueNet, localDeferred)
-// runs from a busy component's tick or a scheduled event, both of which
-// bound the kernel's skip on their own.
+// work every MC clock. With empty queues its tick only samples the queue
+// depths and toggles the fairness bit, which Skipped replays, so it names
+// no work of its own: the lazy kernel defers its ticks until the window is
+// settled by input (see settle) or flushed by the driver.
 func (mc *MC) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 	if mc.queued > 0 {
 		return 0, false
@@ -351,7 +382,9 @@ func (mc *MC) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 // Skipped implements sim.SkipAware: n elided idle MC clocks each sample the
 // (frozen, empty-of-live-messages) queue depths, and — when the backend
 // could accept — each run pick() far enough to toggle the local/network
-// fairness bit before finding nothing to dispatch.
+// fairness bit before finding nothing to dispatch. CanAccept answers for
+// the whole window because every backend settles the controller before
+// that answer changes.
 func (mc *MC) Skipped(n uint64, _ sim.Cycle) {
 	mc.sampleQueuesN(n)
 	if mc.back != nil && mc.back.CanAccept() && n%2 == 1 {

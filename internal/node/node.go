@@ -70,7 +70,8 @@ type Config struct {
 
 // New builds and wires a node, registering its clocked components with the
 // engine (pipeline first, then the protocol processor, then the controller,
-// so effects retire before dispatch each controller cycle).
+// so effects retire before dispatch each controller cycle) for lazy
+// ticking.
 func New(cfg Config) *Node {
 	n := &Node{
 		ID:         cfg.ID,
@@ -90,22 +91,34 @@ func New(cfg Config) *Node {
 	}
 	n.Pipe = pipeline.New(cfg.PipeCfg, cfg.Engine, (*downstream)(n), (*syncAdapter)(n))
 	n.Pipe.SetOwner(int32(cfg.ID))
+	var proto *pipeline.ProtoBackend
 	if cfg.PPCfg != nil {
 		n.PP = memctrl.NewPPBackend(*cfg.PPCfg, n.MC)
 		n.MC.SetBackend(n.PP)
 	} else {
-		n.MC.SetBackend(n.Pipe.Backend())
+		proto = n.Pipe.Backend()
+		n.MC.SetBackend(proto)
 	}
-	cfg.Engine.AddClocked(n.Pipe, 1, 0)
-	// The core ticks lazily: due-but-idle cycles defer until input arrives
-	// (every external mutation path funnels through Pipeline.extInput).
-	n.Pipe.BindLazy(cfg.Engine.MakeLazy(n.Pipe))
+	eng := cfg.Engine
+	eng.AddClocked(n.Pipe, 1, 0)
 	if n.PP != nil {
-		cfg.Engine.AddClocked(n.PP, cfg.MCClockDiv, 0)
+		eng.AddClocked(n.PP, cfg.MCClockDiv, 0)
 	}
-	// The MC registers as itself (not a ClockedFunc wrapper) so the engine
-	// sees its Quiescer/SkipAware implementations.
-	cfg.Engine.AddClocked(n.MC, cfg.MCClockDiv, 0)
+	eng.AddClocked(n.MC, cfg.MCClockDiv, 0)
+	// Every component ticks lazily: a due-but-idle tick defers until input
+	// arrives. The core funnels external input through Pipeline.extInput,
+	// the controller through its settle (queue arrivals, and its backend's
+	// CanAccept changing: the protocol thread freeing a dispatch slot, the
+	// processor finishing a handler), the processor through
+	// PPBackend.Start.
+	n.Pipe.BindLazy(eng.MakeLazy(n.Pipe))
+	mcLazy := eng.MakeLazy(n.MC)
+	n.MC.BindLazy(mcLazy)
+	if n.PP != nil {
+		n.PP.BindLazy(eng.MakeLazy(n.PP))
+	} else {
+		proto.BindController(mcLazy)
+	}
 	return n
 }
 

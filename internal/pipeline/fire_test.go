@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smtpsim/internal/cache"
+	"smtpsim/internal/coherence"
 	"smtpsim/internal/isa"
 	"smtpsim/internal/sim"
 	"smtpsim/internal/snapshot"
@@ -139,5 +140,49 @@ func TestUnknownEventsFailLoudly(t *testing.T) {
 			}()
 			smtp.Fire(d)
 		}()
+	}
+}
+
+// TestCheckEventRejectsProtoDoneWithoutMiss: a protocol-miss completion
+// re-finds its MSHR entry by line when it fires, so a snapshot carrying one
+// for a line with no protocol-class miss outstanding must fail the restore
+// instead of dereferencing a missing entry.
+func TestCheckEventRejectsProtoDoneWithoutMiss(t *testing.T) {
+	r := newRig(1, true)
+	const line = 0x12340
+	done := r.p.protoDoneDesc(line, line)
+	if r.p.CheckEvent(done) == nil {
+		t.Fatal("a completion with no miss outstanding passed the check")
+	}
+	app := r.p.mshr.Alloc(line, false, cache.ClassApp)
+	if r.p.CheckEvent(done) == nil {
+		t.Fatal("a completion for an application miss passed the check")
+	}
+	r.p.mshr.Free(app)
+	r.p.mshr.Alloc(line, false, cache.ClassProtocol)
+	if err := r.p.CheckEvent(done); err != nil {
+		t.Fatalf("outstanding protocol miss: %v", err)
+	}
+}
+
+// TestCheckEventRejectsNonPIRetry: a processor-interface retry re-enqueues
+// its message type into the local miss interface, which takes only the
+// four PI request types.
+func TestCheckEventRejectsNonPIRetry(t *testing.T) {
+	p := newRig(1, false).p
+	for _, mt := range []coherence.MsgType{coherence.MsgPIRead, coherence.MsgPIWrite, coherence.MsgPIUpgrade, coherence.MsgPIWriteback} {
+		if err := p.CheckEvent(p.sendPIDesc(mt, 0x4000)); err != nil {
+			t.Errorf("%v: %v", mt, err)
+		}
+	}
+	bad := []sim.Desc{
+		p.sendPIDesc(coherence.MsgGET, 0x4000),
+		p.sendPIDesc(coherence.MsgPUTX, 0x4000),
+		p.desc2(KSendPIRetry, 0x100|uint64(coherence.MsgPIRead), 0x4000),
+	}
+	for _, d := range bad {
+		if p.CheckEvent(d) == nil {
+			t.Errorf("retry of message type %#x passed the check", d.Args[0])
+		}
 	}
 }

@@ -357,11 +357,10 @@ func (p *Pipeline) DeliverRefill(line uint64, st cache.State, acks int, upgrade 
 	if e == nil {
 		return // e.g. an upgrade that raced with an eviction
 	}
+	// The waiters resolve before the entry frees: Free keeps the waiter
+	// array for the slot's next allocation.
 	now := p.eng.Now()
-	waiters := e.Waiters
-	p.mshr.Free(e)
-	delete(p.refillDue, line)
-	for _, seq := range waiters {
+	for _, seq := range e.Waiters {
 		if u := p.queuedLoad(seq); u != nil {
 			p.fillL1D(p.threads[u.tid], u.in.Addr, false)
 			p.loadDone(u, now+1)
@@ -376,6 +375,8 @@ func (p *Pipeline) DeliverRefill(line uint64, st cache.State, acks int, upgrade 
 			p.storeBuf[i].pending = false
 		}
 	}
+	p.mshr.Free(e)
+	delete(p.refillDue, line)
 }
 
 // DeliverNak retries a NAKed transaction after a backoff (the request may

@@ -28,6 +28,10 @@ type protoState struct {
 	lookAhead bool
 	ldctxtID  uint64
 
+	// ctl settles the lazily-ticked memory controller that dispatches into
+	// this thread (nil when none is bound, e.g. in unit tests).
+	ctl *sim.TickHandle
+
 	HandlersDispatched uint64
 	LookAheadStarts    uint64
 	SwitchStallCycles  uint64
@@ -100,6 +104,12 @@ func (ps *protoState) handlerDone() {
 	if ps.qlen == 0 {
 		panic("pipeline: ldctxt graduated with no handler in flight")
 	}
+	// Freeing a slot of a full dispatch unit flips CanAccept, from which
+	// the controller's deferred idle ticks replay their fairness toggles:
+	// settle them first.
+	if ps.ctl != nil {
+		ps.ctl.Settle()
+	}
 	// The trailing ldctxt graduates in program order, so every uop of the
 	// handler has retired (each holding its Instr by value): the finished
 	// trace's buffer moves into the slot this frees, for the next dispatch.
@@ -170,6 +180,11 @@ type ProtoBackend struct {
 func (b *ProtoBackend) CanAccept() bool {
 	return b.p.proto.qlen < 2
 }
+
+// BindController installs the lazy-tick handle of the memory controller
+// that dispatches into this backend, so the protocol thread settles the
+// controller before freeing a dispatch slot (see handlerDone).
+func (b *ProtoBackend) BindController(h *sim.TickHandle) { b.p.proto.ctl = h }
 
 // TraceBuf implements memctrl.Backend: the free dispatch slot's buffer,
 // emptied.

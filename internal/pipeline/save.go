@@ -149,7 +149,18 @@ func (p *Pipeline) retryUop(d sim.Desc) (*uop, bool) {
 // restore instead of panicking when it fires.
 func (p *Pipeline) CheckEvent(d sim.Desc) error {
 	switch d.Kind {
-	case KSendPIRetry, KProtoDone, KNakRetry, KStorePoll:
+	case KNakRetry, KStorePoll:
+		return nil
+	case KSendPIRetry:
+		if t := d.Args[0]; t > 0xff || !coherence.MsgType(t).IsLocalPI() {
+			return fmt.Errorf("pipeline: processor-interface retry of message type %d, not a PI request", t)
+		}
+		return nil
+	case KProtoDone:
+		// protoMissDone completes the protocol-class entry for its line.
+		if e := p.mshr.Find(d.Args[0]); e == nil || e.Class != cache.ClassProtocol {
+			return fmt.Errorf("pipeline: protocol miss completion for line %#x with no protocol miss outstanding", d.Args[0])
+		}
 		return nil
 	case KIFill, KIFillL2:
 		if tid := d.Args[0]; tid >= uint64(len(p.threads)) {

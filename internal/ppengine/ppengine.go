@@ -100,6 +100,13 @@ func New(cfg Config, fire func(uint32)) *Engine {
 // instruction completes.
 func (e *Engine) Busy() bool { return e.pc < len(e.trace) }
 
+// MayFinish reports whether the next Tick can retire the trace's last
+// instruction, ending the handler: the engine is busy, not stalled, and at
+// most one issue group (two instructions) remains.
+func (e *Engine) MayFinish() bool {
+	return e.stall == 0 && e.Busy() && len(e.trace)-e.pc <= 2
+}
+
 // TraceBuf returns the engine's last trace, emptied, as the buffer the next
 // handler is written into. Only an idle engine's buffer is free.
 func (e *Engine) TraceBuf() []isa.Instr { return e.trace[:0] }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 // lazyTestComp records every live tick and every bulk settlement so tests
 // can assert exactly which cycles were elided and how they were settled.
@@ -167,4 +171,124 @@ func TestMakeLazyRequiresSkipAware(t *testing.T) {
 		}
 	}()
 	e.MakeLazy(d)
+}
+
+// periodComp is a lazily-ticked component on a divided clock, like a
+// memory controller: a tick with input pending consumes one unit of it,
+// an idle tick changes nothing but the log. Every tick, run live or
+// settled in bulk, is logged with the cycle it belongs to and whether it
+// saw input, so a skipping engine's log must equal the reference
+// engine's entry for entry.
+type periodComp struct {
+	period Cycle
+	work   int
+	live   int
+	log    []periodTick
+}
+
+type periodTick struct {
+	at   Cycle
+	busy bool
+}
+
+func (c *periodComp) Tick(now Cycle) {
+	c.live++
+	c.log = append(c.log, periodTick{now, c.work > 0})
+	if c.work > 0 {
+		c.work--
+	}
+}
+
+func (c *periodComp) NextWork(Cycle) (Cycle, bool) {
+	if c.work > 0 {
+		return 0, false
+	}
+	return NoWork, true
+}
+
+func (c *periodComp) Skipped(n uint64, last Cycle) {
+	for k := Cycle(n); k > 0; k-- {
+		c.log = append(c.log, periodTick{last - (k-1)*c.period, c.work > 0})
+	}
+}
+
+// TestLazyDeferralAtControllerPeriods runs the lazy path at the periods
+// the memory controllers tick at (2, 5 and 10 cycles, phase 1), with
+// input landing one cycle before, at and one cycle after the component's
+// slot. The input comes from an event (it fires before every tick of its
+// cycle), from a component registered before the lazy one, or from one
+// registered after it; event input also runs without a busy neighbour,
+// so global jumps carry the open window between inputs. Every case must
+// log the same ticks as the reference engine, and must have deferred.
+func TestLazyDeferralAtControllerPeriods(t *testing.T) {
+	const phase = 1
+	type source struct {
+		name string
+		reg  int // feeder registered before (-1) or after (+1) the component; 0 = events
+		busy bool
+	}
+	sources := []source{
+		{"event", 0, true}, {"event-jumps", 0, false},
+		{"earlier-component", -1, false}, {"later-component", +1, false},
+	}
+	for _, period := range []Cycle{2, 5, 10} {
+		for _, src := range sources {
+			for _, off := range []int{-1, 0, 1} {
+				period, src, off := period, src, off
+				t.Run(fmt.Sprintf("period%d/%s/offset%+d", period, src.name, off), func(t *testing.T) {
+					// Input around the 3rd slot, and twice around the 7th.
+					var inputs []Cycle
+					for _, k := range []Cycle{3, 7, 7} {
+						inputs = append(inputs, Cycle(int(phase+k*period)+off))
+					}
+					run := func(reference bool) *periodComp {
+						fns := &closures{}
+						e := NewEngine(fns.fire)
+						if reference {
+							e = NewReferenceEngine(fns.fire)
+						}
+						c := &periodComp{period: period}
+						var h *TickHandle
+						input := func() {
+							h.Settle()
+							c.work++
+						}
+						feed := ClockedFunc(func(now Cycle) {
+							for _, at := range inputs {
+								if at == now {
+									input()
+								}
+							}
+						})
+						if src.busy {
+							e.AddClocked(&busyDriver{}, 1, 0)
+						}
+						if src.reg < 0 {
+							e.AddClocked(feed, 1, 0)
+						}
+						e.AddClocked(c, period, phase)
+						if src.reg > 0 {
+							e.AddClocked(feed, 1, 0)
+						}
+						h = e.MakeLazy(c)
+						if src.reg == 0 {
+							for _, at := range inputs {
+								e.Schedule(at, fns.desc(input))
+							}
+						}
+						e.Run(phase + 10*period)
+						e.FlushDeferred()
+						return c
+					}
+					ref, lazy := run(true), run(false)
+					if !reflect.DeepEqual(lazy.log, ref.log) {
+						t.Fatalf("ticks diverge from the reference engine:\n lazy      %v\n reference %v", lazy.log, ref.log)
+					}
+					if lazy.live >= len(lazy.log) {
+						t.Fatalf("all %d ticks ran live; the lazy path deferred none", lazy.live)
+					}
+				})
+			}
+		}
+	}
 }
