@@ -162,19 +162,26 @@ func TestMemoryLoadStateRejectsBadSlabs(t *testing.T) {
 
 // TestMemoryFirstWriteFootprint: the first directory write to an empty
 // store allocates its slab plus a constant-size index — not a table sized
-// by the address space.
+// by the address space. TotalAlloc is process-wide, so a runtime
+// allocation inside the measured window (a busy host, the race detector)
+// can inflate one reading: the test keeps the smallest of several fresh
+// stores' readings.
 func TestMemoryFirstWriteFootprint(t *testing.T) {
 	const indexBytes = 256
-	m := NewMemory()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m.Write32(DirAddrOf(12345*CoherenceLineSize, 16), 7)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > SlabSize+indexBytes {
-		t.Fatalf("first write allocated %d bytes, want at most one %d-byte slab plus %d bytes of index",
-			got, SlabSize, indexBytes)
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		m := NewMemory()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.Write32(DirAddrOf(12345*CoherenceLineSize, 16), 7)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if n := m.SlabCount(); n != 1 {
+			t.Fatalf("first write allocated %d slabs, want 1", n)
+		}
 	}
-	if n := m.SlabCount(); n != 1 {
-		t.Fatalf("first write allocated %d slabs, want 1", n)
+	if least > SlabSize+indexBytes {
+		t.Fatalf("first write allocated at least %d bytes, want at most one %d-byte slab plus %d bytes of index",
+			least, SlabSize, indexBytes)
 	}
 }

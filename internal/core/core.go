@@ -100,9 +100,10 @@ type Config struct {
 	SampleWindow sim.Cycle
 
 	// ReferenceKernel runs on the reference kernel: the cycle-skipping
-	// kernel with skipping and lazy deferral switched off. Results are
-	// observably identical (pinned by TestKernelDifferential); this exists
-	// as the differential oracle and for kernel-bug bisection.
+	// kernel with every lazy component registered as a plain one, so every
+	// component ticks at every due cycle and no cycle is skipped. Results
+	// are observably identical (pinned by TestKernelDifferential); this
+	// exists as the differential oracle and for kernel-bug bisection.
 	ReferenceKernel bool
 
 	// Shards partitions the simulated machine's nodes across that many OS

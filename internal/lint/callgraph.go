@@ -420,8 +420,8 @@ func ifaceMethodOn(named *types.Named, iface *types.Interface, name string) type
 }
 
 // engineDispatchMethods are the method names a simulation engine calls on
-// registered components every cycle (sim.Clocked, sim.Quiescer,
-// sim.SkipAware). Any module method with one of these names on a
+// registered components every cycle (sim.Clocked's Tick, and sim.Lazy's
+// NextWork and Skipped). Any module method with one of these names on a
 // simulation-package type is treated as a shard-window entry point.
 var engineDispatchMethods = map[string]bool{"Tick": true, "NextWork": true, "Skipped": true}
 

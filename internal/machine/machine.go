@@ -79,8 +79,9 @@ type Config struct {
 	SampleCapacity int
 
 	// ReferenceKernel builds the machine on the reference engine
-	// (sim.NewReferenceEngine): the same kernel with cycle skipping and lazy
-	// deferral switched off, so every component ticks at every due cycle.
+	// (sim.NewReferenceEngine): the same kernel with every lazy component
+	// registered as a plain one, so every component ticks at every due
+	// cycle and, the cores ticking every cycle, no cycle is skipped.
 	// The two are observably identical (the differential tests pin this);
 	// the reference kernel exists as that test's oracle and for kernel-bug
 	// bisection. Its snapshots restore into skipping machines and vice
@@ -424,7 +425,7 @@ func (m *Machine) Done() bool {
 		if n.ParkedInterventions() != 0 {
 			return false
 		}
-		if n.PP != nil && n.PP.Engine.Busy() {
+		if n.PP != nil && n.PP.Busy() {
 			return false
 		}
 		if !n.Pipe.ProtoQuiesced() {

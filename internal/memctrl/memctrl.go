@@ -4,8 +4,8 @@
 // overlapped memory access for data replies, runs the coherence handler
 // semantics to obtain the executed-path trace, and hands the trace to the
 // protocol execution backend — either the embedded dual-issue protocol
-// processor (Base/Int* models) or the SMTp protocol thread on the main
-// pipeline.
+// processor (Base/Int* models), which the controller owns and ticks on its
+// own clock, or the SMTp protocol thread on the main pipeline.
 package memctrl
 
 import (
@@ -16,12 +16,14 @@ import (
 	"smtpsim/internal/coherence"
 	"smtpsim/internal/isa"
 	"smtpsim/internal/network"
+	"smtpsim/internal/ppengine"
 	"smtpsim/internal/sim"
 	"smtpsim/internal/stats"
 )
 
-// Backend executes protocol handler traces. The SMTp pipeline and the
-// embedded protocol processor both implement it.
+// Backend executes protocol handler traces. The SMTp pipeline's protocol
+// thread and the embedded protocol processor (ppengine.Engine) both
+// implement it.
 type Backend interface {
 	// CanAccept reports whether a new handler may be dispatched now.
 	CanAccept() bool
@@ -73,6 +75,7 @@ type MC struct {
 	node NodeIface
 	net  network.Port
 	back Backend
+	pp   *ppengine.Engine // the embedded protocol processor, ticked by Tick (nil on SMTp)
 
 	table      *coherence.Table
 	local      []localSlot
@@ -146,8 +149,8 @@ func (mc *MC) sampleQueuesN(count uint64) {
 	}
 }
 
-// New builds a controller. The backend must be set with SetBackend before
-// the first dispatch.
+// New builds a controller. The backend must be set with SetBackend or
+// EmbedProcessor before the first dispatch.
 func New(cfg Config, eng *sim.Engine, env coherence.Env, node NodeIface, net network.Port) *MC {
 	if cfg.ClockDiv == 0 {
 		cfg.ClockDiv = 2
@@ -172,16 +175,27 @@ func New(cfg Config, eng *sim.Engine, env coherence.Env, node NodeIface, net net
 // SetTable installs an alternative protocol table (extensions, §6).
 func (mc *MC) SetTable(t *coherence.Table) { mc.table = t }
 
-// SetBackend installs the protocol execution backend.
+// SetBackend installs a protocol execution backend that runs on its own
+// clock (the SMTp protocol thread, which its pipeline ticks).
 func (mc *MC) SetBackend(b Backend) { mc.back = b }
+
+// EmbedProcessor builds the Base/Int* models' embedded protocol processor
+// and installs it as the backend. The processor runs on the controller's
+// clock — Tick ticks it before dispatching — and its effects fire into the
+// controller.
+func (mc *MC) EmbedProcessor(cfg ppengine.Config) *ppengine.Engine {
+	mc.pp = ppengine.New(cfg, mc.FireEffect)
+	mc.back = mc.pp
+	return mc.pp
+}
 
 // Cfg returns the configuration.
 func (mc *MC) Cfg() Config { return mc.cfg }
 
 // BindLazy installs the engine's lazy-tick handle for this controller (see
-// sim.MakeLazy). Must be called before the run starts. A backend outside
-// this package (the SMTp protocol thread) is handed the same handle, to
-// settle the controller before its CanAccept answer changes.
+// sim.AddLazy). Must be called before the run starts. The SMTp protocol
+// thread is handed the same handle, to settle the controller before its
+// CanAccept answer changes.
 func (mc *MC) BindLazy(h *sim.TickHandle) { mc.lazyH = h }
 
 // settle is the single funnel for input that changes what an idle
@@ -357,9 +371,14 @@ func (mc *MC) popLocal() bool {
 	return false
 }
 
-// Tick runs the handler dispatch unit: one dispatch per MC clock when the
-// backend has room. Registered with the engine at period cfg.ClockDiv.
+// Tick runs one MC clock: the embedded protocol processor (if any) issues
+// first, so the effects it retires precede this clock's dispatch; then the
+// handler dispatch unit dispatches one message when the backend has room.
+// Registered with the engine at period cfg.ClockDiv.
 func (mc *MC) Tick(now sim.Cycle) {
+	if mc.pp != nil {
+		mc.pp.Tick(now)
+	}
 	mc.sampleQueuesN(1)
 	if mc.back == nil || !mc.back.CanAccept() || !mc.pick() {
 		return
@@ -367,24 +386,27 @@ func (mc *MC) Tick(now sim.Cycle) {
 	mc.dispatch()
 }
 
-// NextWork implements sim.Quiescer. With queued messages the controller has
-// work every MC clock. With empty queues its tick only samples the queue
-// depths and toggles the fairness bit, which Skipped replays, so it names
-// no work of its own: the lazy kernel defers its ticks until the window is
-// settled by input (see settle) or flushed by the driver.
+// NextWork implements sim.Lazy. With queued messages, or a handler running
+// on the embedded protocol processor, the controller has work every MC
+// clock. Otherwise its tick only samples the queue depths and toggles the
+// fairness bit, which Skipped replays (an idle processor's tick does
+// nothing), so it names no work of its own: the lazy kernel defers its
+// ticks until the window is settled by input (see settle) or flushed by
+// the driver.
 func (mc *MC) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if mc.queued > 0 {
+	if mc.queued > 0 || mc.pp != nil && mc.pp.Busy() {
 		return 0, false
 	}
 	return sim.NoWork, true
 }
 
-// Skipped implements sim.SkipAware: n elided idle MC clocks each sample the
+// Skipped implements sim.Lazy: n elided idle MC clocks each sample the
 // (frozen, empty-of-live-messages) queue depths, and — when the backend
 // could accept — each run pick() far enough to toggle the local/network
 // fairness bit before finding nothing to dispatch. CanAccept answers for
-// the whole window because every backend settles the controller before
-// that answer changes.
+// the whole window: the embedded processor stays idle in it (only this
+// controller's dispatch starts it), and the SMTp protocol thread settles
+// the controller before it frees a dispatch slot.
 func (mc *MC) Skipped(n uint64, _ sim.Cycle) {
 	mc.sampleQueuesN(n)
 	if mc.back != nil && mc.back.CanAccept() && n%2 == 1 {

@@ -7,6 +7,7 @@ import (
 	"smtpsim/internal/cache"
 	"smtpsim/internal/coherence"
 	"smtpsim/internal/directory"
+	"smtpsim/internal/isa"
 	"smtpsim/internal/network"
 	"smtpsim/internal/ppengine"
 	"smtpsim/internal/sim"
@@ -75,7 +76,7 @@ func (n *testNode) DeliverNak(line uint64)   { n.naks = append(n.naks, line) }
 func (n *testNode) DeliverIAck(line uint64)  { n.iacks = append(n.iacks, line) }
 func (n *testNode) DeliverWBAck(line uint64) { n.wbacks = append(n.wbacks, line) }
 
-// rig is a little machine of N nodes with PP backends.
+// rig is a little machine of N nodes with embedded protocol processors.
 type rig struct {
 	eng   *sim.Engine
 	net   *network.Network
@@ -108,9 +109,7 @@ func newRig(t testing.TB, nodes int, cfg Config) *rig {
 	for i := 0; i < nodes; i++ {
 		tn := newTestNode(addrmap.NodeID(i), nodes, r.eng)
 		mc := New(cfg, r.eng, tn, tn, r.net)
-		pp := NewPPBackend(ppengine.DefaultConfig(0, 0), mc)
-		mc.SetBackend(pp)
-		r.eng.AddClocked(pp, cfg.ClockDiv, 0)
+		mc.EmbedProcessor(ppengine.DefaultConfig(0, 0))
 		r.eng.AddClocked(sim.ClockedFunc(mc.Tick), cfg.ClockDiv, 0)
 		r.nodes = append(r.nodes, tn)
 		r.mcs = append(r.mcs, mc)
@@ -443,6 +442,54 @@ func TestDispatchCountsAndDrain(t *testing.T) {
 	}
 	if r.mcs[0].Dispatched == 0 || r.mcs[1].Dispatched == 0 {
 		t.Fatal("both nodes must have dispatched handlers")
+	}
+}
+
+// TestBusyProcessorKeepsControllerLive: a controller whose queues are
+// empty but whose embedded processor still runs a handler has work on
+// every clock (the processor ticks inside the controller's tick), and
+// names no work of its own once the handler retires.
+func TestBusyProcessorKeepsControllerLive(t *testing.T) {
+	r := newRig(t, 1, defCfg())
+	mc := r.mcs[0]
+	mc.EnqueueLocal(uint8(coherence.MsgPIRead), 0)
+	for i := 0; mc.Dispatched == 0 && i < 100; i++ {
+		r.eng.Step()
+	}
+	if mc.Dispatched != 1 || mc.QueuedMessages() != 0 || !mc.pp.Busy() {
+		t.Fatalf("dispatched %d, %d queued, processor busy %v; want 1, 0, busy",
+			mc.Dispatched, mc.QueuedMessages(), mc.pp.Busy())
+	}
+	if _, ok := mc.NextWork(r.eng.Now()); ok {
+		t.Fatal("NextWork reports idle while the processor runs a handler")
+	}
+	for i := 0; mc.pp.Busy() && i < 1000; i++ {
+		r.eng.Step()
+	}
+	if mc.pp.Busy() || mc.QueuedMessages() != 0 {
+		t.Fatalf("processor busy %v, %d queued after 1000 cycles; want idle and empty", mc.pp.Busy(), mc.QueuedMessages())
+	}
+	if next, ok := mc.NextWork(r.eng.Now()); !ok || next != sim.NoWork {
+		t.Fatalf("NextWork = (%d, %v) once the handler retired; want (NoWork, true)", next, ok)
+	}
+}
+
+// TestDispatchOnRetiringTick: the controller ticks its processor before it
+// dispatches, so a request queued behind a one-instruction handler
+// dispatches on the very controller clock that retires the handler.
+func TestDispatchOnRetiringTick(t *testing.T) {
+	r := newRig(t, 1, defCfg()) // controller clocks at cycles 2, 4, ...
+	mc := r.mcs[0]
+	mc.pp.Start([]isa.Instr{{PC: addrmap.CodeBase, Op: isa.OpIntALU}})
+	mc.EnqueueLocal(uint8(coherence.MsgPIRead), 0)
+	r.eng.Step()
+	if mc.Dispatched != 0 || !mc.pp.Busy() {
+		t.Fatalf("cycle 1: dispatched %d, processor busy %v; want 0 and busy", mc.Dispatched, mc.pp.Busy())
+	}
+	r.eng.Step()
+	if mc.pp.Retired != 1 || mc.Dispatched != 1 || mc.pp.Handlers != 2 {
+		t.Fatalf("cycle 2: retired %d, dispatched %d, %d handlers started; want 1, 1, 2",
+			mc.pp.Retired, mc.Dispatched, mc.pp.Handlers)
 	}
 }
 

@@ -33,8 +33,8 @@ func (mc *MC) owner() int32 { return int32(mc.env.NodeID()) }
 
 // SaveInstr encodes a coherence-handler instruction with the effect its
 // handle names in this controller's arena. Every owner of traces this
-// controller dispatched (the node's PP backend, the pipeline's protocol
-// thread) saves them through it.
+// controller dispatched (the embedded protocol processor, the pipeline's
+// protocol thread) saves them through it.
 func (mc *MC) SaveInstr(e *snapshot.Encoder, in *isa.Instr) { mc.effects.SaveInstr(e, in) }
 
 // LoadInstr decodes an instruction saved by SaveInstr, issuing its effect
@@ -75,8 +75,8 @@ func (mc *MC) refillDesc(line uint64, st cache.State, acks int, upgrade bool) si
 
 // SaveState serializes the controller's queues, SDRAM and bus reservations,
 // the in-flight read table (sorted by line, never by table layout), and its
-// counters. The backend is saved separately by the owner (the node's
-// PPBackend, or the pipeline's protocol thread on SMTp).
+// counters. The backend is saved separately, with SaveInstr: the embedded
+// protocol processor by the node, the protocol thread by its pipeline.
 func (mc *MC) SaveState(e *snapshot.Encoder) {
 	e.Mark("mc")
 	e.Int(len(mc.local))
@@ -205,15 +205,4 @@ func loadPeak(d *snapshot.Decoder, p *stats.Peak) {
 	samples := d.U64()
 	sum := d.U64()
 	p.SetState(max, samples, sum)
-}
-
-// SaveState serializes the protocol-processor backend: its engine.
-func (b *PPBackend) SaveState(e *snapshot.Encoder) {
-	b.Engine.SaveState(e, b.mc.SaveInstr)
-}
-
-// LoadState restores the backend; the trace's effects are re-issued into
-// the controller's arena.
-func (b *PPBackend) LoadState(d *snapshot.Decoder) {
-	b.Engine.LoadState(d, b.mc.LoadInstr)
 }

@@ -31,7 +31,7 @@ type Node struct {
 	ID   addrmap.NodeID
 	Pipe *pipeline.Pipeline
 	MC   *memctrl.MC
-	PP   *memctrl.PPBackend // nil on SMTp nodes
+	PP   *ppengine.Engine // the controller's embedded processor; nil on SMTp nodes
 	Dir  *directory.Directory
 	Mem  *addrmap.Memory
 
@@ -68,10 +68,10 @@ type Config struct {
 	Protocol *coherence.Table
 }
 
-// New builds and wires a node, registering its clocked components with the
-// engine (pipeline first, then the protocol processor, then the controller,
-// so effects retire before dispatch each controller cycle) for lazy
-// ticking.
+// New builds and wires a node, registering its two clocked components with
+// the engine for lazy ticking: the pipeline, then the memory controller,
+// which ticks the embedded protocol processor (Base/Int*) on its own clock
+// before each dispatch.
 func New(cfg Config) *Node {
 	n := &Node{
 		ID:         cfg.ID,
@@ -91,32 +91,19 @@ func New(cfg Config) *Node {
 	}
 	n.Pipe = pipeline.New(cfg.PipeCfg, cfg.Engine, (*downstream)(n), (*syncAdapter)(n))
 	n.Pipe.SetOwner(int32(cfg.ID))
-	var proto *pipeline.ProtoBackend
-	if cfg.PPCfg != nil {
-		n.PP = memctrl.NewPPBackend(*cfg.PPCfg, n.MC)
-		n.MC.SetBackend(n.PP)
-	} else {
-		proto = n.Pipe.Backend()
-		n.MC.SetBackend(proto)
-	}
+	// A due-but-idle tick defers until input arrives. The core funnels
+	// external input through Pipeline.extInput, the controller through its
+	// settle (queue arrivals, and the protocol thread freeing a dispatch
+	// slot); a controller whose processor runs a handler is never idle.
 	eng := cfg.Engine
-	eng.AddClocked(n.Pipe, 1, 0)
-	if n.PP != nil {
-		eng.AddClocked(n.PP, cfg.MCClockDiv, 0)
-	}
-	eng.AddClocked(n.MC, cfg.MCClockDiv, 0)
-	// Every component ticks lazily: a due-but-idle tick defers until input
-	// arrives. The core funnels external input through Pipeline.extInput,
-	// the controller through its settle (queue arrivals, and its backend's
-	// CanAccept changing: the protocol thread freeing a dispatch slot, the
-	// processor finishing a handler), the processor through
-	// PPBackend.Start.
-	n.Pipe.BindLazy(eng.MakeLazy(n.Pipe))
-	mcLazy := eng.MakeLazy(n.MC)
+	n.Pipe.BindLazy(eng.AddLazy(n.Pipe, 1, 0))
+	mcLazy := eng.AddLazy(n.MC, cfg.MCClockDiv, 0)
 	n.MC.BindLazy(mcLazy)
-	if n.PP != nil {
-		n.PP.BindLazy(eng.MakeLazy(n.PP))
+	if cfg.PPCfg != nil {
+		n.PP = n.MC.EmbedProcessor(*cfg.PPCfg)
 	} else {
+		proto := n.Pipe.Backend()
+		n.MC.SetBackend(proto)
 		proto.BindController(mcLazy)
 	}
 	return n
@@ -250,7 +237,7 @@ func (n *Node) RegisterMetrics(s *stats.Scope) {
 	n.MC.RegisterMetrics(s.Scope("mc"))
 	n.Dir.RegisterMetrics(s.Scope("dir"))
 	if n.PP != nil {
-		n.PP.Engine.RegisterMetrics(s.Scope("pp"))
+		n.PP.RegisterMetrics(s.Scope("pp"))
 	}
 	s.CounterFunc("deferred_interventions", func() uint64 { return n.DeferredInterventions })
 }

@@ -10,9 +10,10 @@ import (
 // SaveState serializes the node's complete dynamic state: its share of
 // physical memory (holding the directory entries), the directory access
 // counters, parked interventions (sorted by line, never by map layout),
-// the memory controller, the protocol backend (the PP engine on Base/Int*
-// nodes; on SMTp nodes the protocol thread lives inside the pipeline), and
-// the pipeline itself.
+// the memory controller, the protocol backend (the controller's embedded
+// processor on Base/Int* nodes, its trace saved with the controller's
+// instruction codec; on SMTp nodes the protocol thread lives inside the
+// pipeline), and the pipeline itself.
 func (n *Node) SaveState(e *snapshot.Encoder) {
 	e.Mark("node")
 	n.Mem.SaveState(e)
@@ -38,7 +39,7 @@ func (n *Node) SaveState(e *snapshot.Encoder) {
 	n.MC.SaveState(e)
 	e.Bool(n.PP != nil)
 	if n.PP != nil {
-		n.PP.SaveState(e)
+		n.PP.SaveState(e, n.MC.SaveInstr)
 	}
 	n.Pipe.SaveState(e, n.MC.SaveInstr)
 }
@@ -72,7 +73,7 @@ func (n *Node) LoadState(d *snapshot.Decoder) {
 		return
 	}
 	if n.PP != nil {
-		n.PP.LoadState(d)
+		n.PP.LoadState(d, n.MC.LoadInstr)
 	}
 	n.Pipe.LoadState(d, n.MC.LoadInstr)
 	for _, line := range lines {

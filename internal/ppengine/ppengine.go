@@ -61,7 +61,9 @@ func (c *dmCache) access(addr uint64) bool {
 	return false
 }
 
-// Engine is one node's embedded protocol processor.
+// Engine is one node's embedded protocol processor. It is the memory
+// controller's protocol execution backend (memctrl.Backend) and runs on
+// the controller's clock: the controller ticks it before each dispatch.
 type Engine struct {
 	cfg Config
 
@@ -100,22 +102,20 @@ func New(cfg Config, fire func(uint32)) *Engine {
 // instruction completes.
 func (e *Engine) Busy() bool { return e.pc < len(e.trace) }
 
-// MayFinish reports whether the next Tick can retire the trace's last
-// instruction, ending the handler: the engine is busy, not stalled, and at
-// most one issue group (two instructions) remains.
-func (e *Engine) MayFinish() bool {
-	return e.stall == 0 && e.Busy() && len(e.trace)-e.pc <= 2
-}
+// CanAccept implements memctrl.Backend: an idle engine takes the next
+// handler.
+func (e *Engine) CanAccept() bool { return !e.Busy() }
 
-// TraceBuf returns the engine's last trace, emptied, as the buffer the next
-// handler is written into. Only an idle engine's buffer is free.
+// TraceBuf implements memctrl.Backend: the engine's last trace, emptied,
+// as the buffer the next handler is written into. Only an idle engine's
+// buffer is free.
 func (e *Engine) TraceBuf() []isa.Instr { return e.trace[:0] }
 
-// Start begins executing a handler trace. Returns false if the engine is
-// already busy.
-func (e *Engine) Start(trace []isa.Instr) bool {
+// Start implements memctrl.Backend: it begins executing a handler trace.
+// Panics if the engine is already busy.
+func (e *Engine) Start(trace []isa.Instr) {
 	if e.Busy() {
-		return false
+		panic("ppengine: Start while busy")
 	}
 	if len(trace) == 0 {
 		panic("ppengine: empty trace")
@@ -124,7 +124,6 @@ func (e *Engine) Start(trace []isa.Instr) bool {
 	e.pc = 0
 	e.stall = 0
 	e.Handlers++
-	return true
 }
 
 // DirMisses returns directory data cache misses (0 when perfect).

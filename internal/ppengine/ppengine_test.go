@@ -162,9 +162,15 @@ func TestEffectsFireInOrder(t *testing.T) {
 func TestStartWhileBusyRejected(t *testing.T) {
 	e := New(Config{LineBytes: 64, MissPenalty: 0}, func(uint32) {})
 	e.Start([]isa.Instr{alu(0, 1, 0)})
-	if e.Start([]isa.Instr{alu(0, 1, 0)}) {
-		t.Fatal("Start while busy must fail")
+	if e.CanAccept() {
+		t.Fatal("a busy engine accepts a handler")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start while busy must panic")
+		}
+	}()
+	e.Start([]isa.Instr{alu(0, 1, 0)})
 }
 
 func TestBusyCyclesAccumulate(t *testing.T) {
@@ -230,6 +236,49 @@ func TestLoadStateRejectsCorruptTraceLength(t *testing.T) {
 		e.LoadState(d, loadInstr)
 		if d.Err() == nil {
 			t.Fatalf("LoadState accepted a %d-instruction trace", n)
+		}
+	}
+}
+
+// TestLoadStateRejectsImpossibleStall: a stall comes only from a miss (at
+// most an instruction-cache plus a directory-cache miss, MissPenalty each)
+// or a taken branch (1 cycle), so a restored stall outside
+// 0..max(1, 2*MissPenalty) is a decode error. Accepted, a stall of 1<<40
+// would keep the handler, and the controller it blocks, busy for good.
+func TestLoadStateRejectsImpossibleStall(t *testing.T) {
+	loadInstr := func(d *snapshot.Decoder) isa.Instr { return alu(d.U64(), 1, 0) }
+	for _, tc := range []struct {
+		penalty, stall int
+		ok             bool
+	}{
+		{10, 0, true}, {10, 20, true}, {10, 21, false}, {10, 1 << 40, false}, {10, -1, false},
+		{0, 1, true}, {0, 2, false},
+	} {
+		enc := snapshot.NewEncoder()
+		enc.Mark("ppeng")
+		for i := 0; i < 4; i++ {
+			enc.U64(0) // counters
+		}
+		enc.Bool(false) // no directory cache
+		enc.Bool(false) // no instruction cache
+		enc.Int(1)      // trace length
+		enc.Int(0)      // pc
+		enc.U64(0)      // the instruction
+		enc.Int(tc.stall)
+		d, err := snapshot.NewDecoder(enc.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(Config{LineBytes: 64, MissPenalty: tc.penalty}, func(uint32) {})
+		e.LoadState(d, loadInstr)
+		if ok := d.Err() == nil; ok != tc.ok {
+			t.Errorf("MissPenalty %d, stall %d: restore error %v, want accepted=%v", tc.penalty, tc.stall, d.Err(), tc.ok)
+			continue
+		}
+		if tc.ok {
+			if n := run(e, 100); e.Busy() || n != tc.stall+1 {
+				t.Errorf("MissPenalty %d, stall %d: busy=%v after %d ticks; want the handler done in %d", tc.penalty, tc.stall, e.Busy(), n, tc.stall+1)
+			}
 		}
 	}
 }

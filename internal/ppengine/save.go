@@ -62,7 +62,10 @@ func (e *Engine) SaveState(enc *snapshot.Encoder, saveInstr func(*snapshot.Encod
 }
 
 // LoadState restores state saved by SaveState into an identically
-// configured engine; loadInstr decodes trace instructions.
+// configured engine; loadInstr decodes trace instructions. A stall longer
+// than any instruction can cost (an instruction-cache plus a
+// directory-cache miss, or a taken branch's refetch bubble) fails: no run
+// reaches it, and a huge one would keep the handler from ever finishing.
 func (e *Engine) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder) isa.Instr) {
 	d.Expect("ppeng")
 	e.BusyCycles = d.U64()
@@ -103,7 +106,12 @@ func (e *Engine) LoadState(d *snapshot.Decoder, loadInstr func(*snapshot.Decoder
 	for i := pc; i < n && d.Err() == nil; i++ {
 		trace = append(trace, loadInstr(d))
 	}
+	stall := d.Int()
+	if maxStall := max(1, 2*e.cfg.MissPenalty); d.Err() == nil && (stall < 0 || stall > maxStall) {
+		d.Fail("pp stall %d out of range 0..%d", stall, maxStall)
+		return
+	}
 	e.trace = trace
 	e.pc = pc
-	e.stall = d.Int()
+	e.stall = stall
 }

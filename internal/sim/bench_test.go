@@ -90,7 +90,7 @@ func BenchmarkAllQuiescent(b *testing.B) {
 	comps := make([]*benchIdleComp, 16)
 	for i := range comps {
 		comps[i] = &benchIdleComp{}
-		e.AddClocked(comps[i], 1, 0)
+		e.AddLazy(comps[i], 1, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -98,6 +98,7 @@ func BenchmarkAllQuiescent(b *testing.B) {
 		e.Advance(e.Now() + 4096)
 	}
 	b.StopTimer()
+	e.FlushDeferred()
 	want := uint64(b.N) * 4096
 	for _, c := range comps {
 		if c.cycles != want {
@@ -111,7 +112,7 @@ func BenchmarkAllQuiescent(b *testing.B) {
 func BenchmarkAllQuiescentReference(b *testing.B) {
 	e := NewReferenceEngine(nil)
 	for i := 0; i < 16; i++ {
-		e.AddClocked(&benchIdleComp{}, 1, 0)
+		e.AddLazy(&benchIdleComp{}, 1, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

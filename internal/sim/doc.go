@@ -15,10 +15,13 @@
 //
 // Time is modeled in three ways, chosen per component for cost:
 //
-//   - Clocked components (AddClocked) are ticked every period cycles in
-//     registration order. The pipelines tick every cycle; the memory
-//     controllers every ClockDiv cycles; an optional metrics recorder
-//     (machine.Config.SampleInterval) ticks at the sampling interval.
+//   - Clocked components are ticked every period cycles in registration
+//     order: plain ones (AddClocked) at every due cycle, lazy ones
+//     (AddLazy, the Lazy interface) only when they have work. The
+//     pipelines tick every cycle; the memory controllers, which tick the
+//     Base/Int* models' embedded protocol processors, every ClockDiv
+//     cycles; an optional metrics recorder (machine.Config.SampleInterval)
+//     ticks at the sampling interval.
 //   - One-shot events (Schedule/After) model point latencies: a network
 //     hop completing, SDRAM data becoming ready. An event is nothing but
 //     its descriptor (Desc: owner, kind, packed arguments); when it comes
@@ -35,16 +38,17 @@
 // monomorphic 4-ary min-heap of pointer-free 48-byte entries (no boxing,
 // no per-Push allocation at steady state), each clocked component
 // carries a precomputed next-tick due time instead of being
-// modulo-scanned every cycle, and components that implement Quiescer can
-// declare themselves idle until a future cycle.
-// When every component is quiescent and no event is due, Run jumps
-// straight to the earliest due time, handing SkipAware components the
-// count of elided ticks so per-cycle deltas (cycle counters, occupancy
-// samples) stay exact. The skip is observably invisible: NewReferenceEngine
-// is the same engine with skipping and lazy deferral switched off, ticking
-// every component at every due cycle, and differential tests pin identical
-// cycle counts and metrics between the two. See DESIGN.md, "Kernel fast
-// path".
+// modulo-scanned every cycle, and lazy components can declare themselves
+// idle until a future cycle. When every component is quiescent and no
+// event is due, Run jumps straight to the earliest due time, handing lazy
+// components the count of elided ticks so per-cycle deltas (cycle
+// counters, occupancy samples) stay exact; a lazy component that is due
+// but idle while others stay busy defers its ticks and settles them in
+// bulk when input arrives. The skip is observably invisible:
+// NewReferenceEngine is the same engine except that AddLazy registers a
+// plain component, so every component ticks at every due cycle, and
+// differential tests pin identical cycle counts and metrics between the
+// two. See DESIGN.md, "Kernel fast path".
 //
 // The package also houses Rand, a SplitMix64 generator; all randomness in
 // the simulator flows through seeded instances of it.

@@ -28,7 +28,7 @@ func (c *lazyTestComp) Skipped(n uint64, last Cycle) {
 	c.skipL = append(c.skipL, last)
 }
 
-// busyDriver is a plain Clocked (no Quiescer): it pins the engine to exact
+// busyDriver is a plain Clocked component: it pins the engine to exact
 // stepping so any elision observed on the lazy component is the lazy path,
 // not a global jump.
 type busyDriver struct{ ticks int }
@@ -43,9 +43,7 @@ func TestLazyDeferralFlush(t *testing.T) {
 	d := &busyDriver{}
 	c := &lazyTestComp{next: NoWork}
 	e.AddClocked(d, 1, 0)
-	e.AddClocked(c, 1, 0)
-	h := e.MakeLazy(c)
-	_ = h
+	e.AddLazy(c, 1, 0)
 	e.Run(10)
 	if len(c.ticks) != 0 {
 		t.Fatalf("lazy comp ticked at %v; want no live ticks", c.ticks)
@@ -74,8 +72,7 @@ func TestLazyDeferralSettleOnEvent(t *testing.T) {
 	d := &busyDriver{}
 	c := &lazyTestComp{next: NoWork}
 	e.AddClocked(d, 1, 0)
-	e.AddClocked(c, 1, 0)
-	h := e.MakeLazy(c)
+	h := e.AddLazy(c, 1, 0)
 	e.Schedule(6, fns.desc(func() {
 		h.Settle()
 		c.busy = true
@@ -101,16 +98,13 @@ func TestLazyDeferralSettleOnEvent(t *testing.T) {
 func TestLazyDeferralSettleFromLaterComponent(t *testing.T) {
 	e := NewEngine(nil)
 	c := &lazyTestComp{next: NoWork}
-	e.AddClocked(c, 1, 0) // index 0: slot passes before the driver's
-	var h *TickHandle
-	fire := ClockedFunc(func(now Cycle) {
+	h := e.AddLazy(c, 1, 0) // index 0: slot passes before the driver's
+	e.AddClocked(ClockedFunc(func(now Cycle) {
 		if now == 6 {
 			h.Settle()
 			c.busy = true
 		}
-	})
-	e.AddClocked(fire, 1, 0)
-	h = e.MakeLazy(c)
+	}), 1, 0)
 	e.Run(10)
 	if len(c.skipN) != 1 || c.skipN[0] != 6 || c.skipL[0] != 6 {
 		t.Fatalf("settled (n,last) = (%v,%v); want (6,6): cycle 6's idle tick precedes the input", c.skipN, c.skipL)
@@ -127,8 +121,7 @@ func TestLazyDeferralWindowEnd(t *testing.T) {
 	d := &busyDriver{}
 	c := &lazyTestComp{next: 4}
 	e.AddClocked(d, 1, 0)
-	e.AddClocked(c, 1, 0)
-	e.MakeLazy(c)
+	e.AddLazy(c, 1, 0)
 	e.Run(6)
 	if len(c.skipN) != 1 || c.skipN[0] != 3 || c.skipL[0] != 3 {
 		t.Fatalf("window end settled (n,last) = (%v,%v); want (3,3)", c.skipN, c.skipL)
@@ -150,27 +143,13 @@ func TestLazyDeferralWindowEnd(t *testing.T) {
 func TestLazyDeferralReferenceInert(t *testing.T) {
 	e := NewReferenceEngine(nil)
 	c := &lazyTestComp{next: NoWork}
-	e.AddClocked(c, 1, 0)
-	h := e.MakeLazy(c)
+	h := e.AddLazy(c, 1, 0)
 	e.Run(5)
 	h.Settle()
 	e.FlushDeferred()
 	if len(c.ticks) != 5 || len(c.skipN) != 0 {
 		t.Fatalf("reference engine: %d ticks, %d settlements; want 5, 0", len(c.ticks), len(c.skipN))
 	}
-}
-
-// MakeLazy refuses components that cannot settle their own elided ticks.
-func TestMakeLazyRequiresSkipAware(t *testing.T) {
-	e := NewEngine(nil)
-	d := &busyDriver{}
-	e.AddClocked(d, 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MakeLazy accepted a component without Quiescer+SkipAware")
-		}
-	}()
-	e.MakeLazy(d)
 }
 
 // periodComp is a lazily-ticked component on a divided clock, like a
@@ -266,11 +245,10 @@ func TestLazyDeferralAtControllerPeriods(t *testing.T) {
 						if src.reg < 0 {
 							e.AddClocked(feed, 1, 0)
 						}
-						e.AddClocked(c, period, phase)
+						h = e.AddLazy(c, period, phase)
 						if src.reg > 0 {
 							e.AddClocked(feed, 1, 0)
 						}
-						h = e.MakeLazy(c)
 						if src.reg == 0 {
 							for _, at := range inputs {
 								e.Schedule(at, fns.desc(input))

@@ -5,10 +5,10 @@ import "fmt"
 // Cycle is a point in simulated time, measured in processor clock cycles.
 type Cycle uint64
 
-// NoWork is the Cycle value a Quiescer returns (with ok = true) to declare
-// that it will generate no work on its own at any future cycle: only an
-// external input — a scheduled event or another component's activity — can
-// give it something to do.
+// NoWork is the Cycle value a Lazy component's NextWork returns (with ok =
+// true) to declare that it will generate no work on its own at any future
+// cycle: only an external input — a scheduled event or another component's
+// activity — can give it something to do.
 const NoWork = ^Cycle(0)
 
 // Clocked is a component stepped by the engine. Tick is invoked once per
@@ -23,49 +23,41 @@ type ClockedFunc func(now Cycle)
 // Tick implements Clocked.
 func (f ClockedFunc) Tick(now Cycle) { f(now) }
 
-// Quiescer is optionally implemented by components that can prove
-// idleness. NextWork(now) returns (c, true) when the component guarantees
-// that ticking it at any cycle strictly before c would change no state
-// beyond the per-cycle deltas its Skipped method (if it has one)
-// re-applies. Returning NoWork means "no self-generated work ever";
-// returning ok = false means busy — no tick of this component may be
-// elided.
+// Lazy is a clocked component that can prove idleness and settle its
+// elided ticks in bulk (see AddLazy).
 //
-// The contract is one-sided: a component may over-report (claim busy, or
-// name a next-work cycle earlier than its real one) and only forfeit
-// speed; it must never under-report. Claiming idleness across a cycle
-// where a tick would have acted breaks the reference-engine equivalence
+// NextWork(now) returns (c, true) when ticking the component at any cycle
+// strictly before c would change no state beyond the per-cycle deltas
+// Skipped re-applies. Returning NoWork means "no self-generated work
+// ever"; returning ok = false means busy — no tick may be elided. The
+// contract is one-sided: a component may over-report (claim busy, or name
+// a next-work cycle earlier than its real one) and only forfeit speed; it
+// must never under-report, or it breaks the reference-engine equivalence
 // the differential tests pin. See DESIGN.md, "Kernel fast path".
-type Quiescer interface {
+//
+// Skipped(n, last) must apply exactly the deltas of n elided idle ticks
+// (cycle counters, occupancy samples, round-robin pointers). last is the
+// cycle of the final elided tick: since the component's observable state
+// is frozen across the window, any per-cycle predicate the deltas depend
+// on answers at last exactly as it did at every elided cycle — but the
+// engine's own clock may already have moved past the window (lazy
+// settlement), so implementations must use last, never Engine.Now.
+type Lazy interface {
+	Clocked
 	NextWork(now Cycle) (Cycle, bool)
-}
-
-// SkipAware is optionally implemented by Quiescer components whose idle
-// ticks still apply per-cycle deltas (cycle counters, occupancy samples,
-// round-robin pointers). When the engine elides n consecutive ticks of
-// the component, it calls Skipped(n, last), which must apply exactly the
-// deltas those n idle ticks would have applied. last is the cycle of the
-// final elided tick: since the component's observable state is frozen
-// across the window, any per-cycle predicate the deltas depend on answers
-// at last exactly as it did at every elided cycle — but the engine's own
-// clock may already have moved past the window (lazy settlement), so
-// implementations must use last, never Engine.Now.
-type SkipAware interface {
 	Skipped(n uint64, last Cycle)
 }
 
 type clockedEntry struct {
 	c        Clocked
-	q        Quiescer // non-nil when c implements Quiescer
-	s        SkipAware
+	l        Lazy   // non-nil when registered with AddLazy on a skipping engine
 	period   Cycle  // tick every `period` cycles
 	phase    Cycle  // tick when now%period == phase
 	tag      uint64 // global registration tag (keyed engines; see EnableKeys)
-	nextTick Cycle  // precomputed next due cycle (skipping engine)
+	nextTick Cycle  // precomputed next due cycle
 
-	// Lazy-tick state (see MakeLazy). While deferring, nextTick holds the
-	// deferral window's end and settleBase the first elided due cycle.
-	lazy       bool
+	// Lazy-tick state. While deferring, nextTick holds the deferral
+	// window's end and settleBase the first elided due cycle.
 	deferring  bool
 	settleBase Cycle
 }
@@ -123,7 +115,7 @@ type Engine struct {
 	comps     []clockedEntry
 	events    []event // 4-ary min-heap ordered by eventLess
 	stopped   bool
-	reference bool // never skip a cycle or defer a tick (NewReferenceEngine)
+	reference bool // AddLazy registers plain components (NewReferenceEngine)
 	skipped   uint64
 
 	// Keyed-scheduling state (sharded machines; see EnableKeys). ctx is the
@@ -157,19 +149,20 @@ type Engine struct {
 // NewEngine returns an engine at cycle 0 with no components. fire runs
 // every scheduled event when it comes due, in the engine's firing order:
 // the owner of the engine routes each descriptor to the component that
-// scheduled it. Run and Advance skip quiescent cycles (see Quiescer);
-// behaviour is defined to be identical to the reference engine's.
+// scheduled it. Run and Advance skip quiescent cycles and lazy components
+// defer idle ticks (see AddLazy); behaviour is defined to be identical to
+// the reference engine's.
 func NewEngine(fire func(Desc)) *Engine {
 	return &Engine{fire: fire}
 }
 
-// NewReferenceEngine returns an engine with cycle skipping and lazy
-// deferral switched off: Advance, Run and JumpTo step every cycle,
-// SkipBound always answers the next cycle, and MakeLazy hands out inert
-// handles, so every component ticks live at every due cycle. Events
-// (fired through fire, as on NewEngine) and clocked components share the
-// skipping engine's code paths. It exists as the behavioural oracle for
-// the skipping engine: the differential tests run both over the bench
+// NewReferenceEngine returns an engine whose AddLazy registers a plain
+// component with an inert handle — its one difference from NewEngine — so
+// every component ticks live at every due cycle, and a due tick bounds
+// every skip (on a machine, whose cores tick every cycle, Advance, Run and
+// JumpTo step every cycle and SkipBound answers the next one). Everything
+// else is the skipping engine's code. It exists as the behavioural oracle
+// for the skipping engine: the differential tests run both over the bench
 // suite and assert equal cycle counts and byte-identical metrics.
 func NewReferenceEngine(fire func(Desc)) *Engine {
 	return &Engine{fire: fire, reference: true}
@@ -179,8 +172,9 @@ func NewReferenceEngine(fire func(Desc)) *Engine {
 func (e *Engine) Now() Cycle { return e.now }
 
 // SkippedCycles reports how many cycles the engine has elided so far. A
-// reference engine elides none itself, but one whose state was imported
-// from a skipping engine's (ImportState) keeps the count it inherited.
+// reference machine elides none itself (its cores tick every cycle), but
+// one whose state was imported from a skipping engine's (ImportState)
+// keeps the count it inherited.
 func (e *Engine) SkippedCycles() uint64 { return e.skipped }
 
 // tickCtx marks a context position as a component tick (bit 63 of the
@@ -235,25 +229,76 @@ func (e *Engine) ScheduleKeyed(at Cycle, pos [3]uint64, d Desc) {
 }
 
 // SkipBound returns the earliest cycle (capped at limit) at which anything
-// observable can happen on this engine — the same bound Advance would jump
-// to. It is read-only: the lockstep coordinator polls every shard's bound
-// and jumps them in unison to the minimum. A return of now+1 means the
-// very next cycle is (or may be) active.
+// observable can happen on this engine — the same bound Advance jumps to:
+// the next due event, the next tick of a plain or busy component, or the
+// first scheduled tick at or after an idle lazy component's declared
+// next-work cycle. It is read-only: the lockstep coordinator polls every
+// shard's bound and jumps them in unison to the minimum. A return of now+1
+// means the very next cycle is (or may be) active.
 func (e *Engine) SkipBound(limit Cycle) Cycle {
-	if e.reference {
-		return e.now + 1
+	floor := e.now + 1
+	target := limit
+	if len(e.events) > 0 && e.events[0].at < target {
+		target = e.events[0].at
 	}
-	return e.skipTarget(limit)
+	if target <= floor {
+		return floor
+	}
+	for i := range e.comps {
+		ce := &e.comps[i]
+		bound := ce.nextTick
+		if ce.deferring {
+			// nextTick is the deferral window's end — already the first
+			// cycle this component can act; no need to consult it again.
+		} else if ce.l != nil {
+			next, ok := ce.l.NextWork(e.now)
+			if !ok {
+				return floor
+			}
+			if next > ce.nextTick {
+				if next >= target {
+					continue
+				}
+				// First scheduled tick at or after the next-work cycle.
+				bound = ce.nextTick + (next-ce.nextTick+ce.period-1)/ce.period*ce.period
+			}
+		}
+		if bound < target {
+			target = bound
+		}
+		if target <= floor {
+			return floor
+		}
+	}
+	return target
 }
 
 // JumpTo elides the cycles in (now, target): afterwards Now is target-1
-// and the next Step executes target as an ordinary exact cycle, with every
-// skipped component compensated. A target at or below now+1 is a no-op.
-// Callers must have established — e.g. via SkipBound on every coupled
-// engine — that nothing observable happens before target.
+// and the next Step executes target as an ordinary exact cycle. Every lazy
+// component whose ticks fell in the window has its nextTick advanced past
+// it and is handed the count of ticks it missed, to apply their per-cycle
+// deltas in bulk. A target at or below now+1 is a no-op. Callers must have
+// established — e.g. via SkipBound on every coupled engine — that nothing
+// observable happens before target.
 func (e *Engine) JumpTo(target Cycle) {
-	if !e.reference && target > e.now+1 {
-		e.jump(target)
+	if target <= e.now+1 {
+		return
+	}
+	skipTo := target - 1
+	e.skipped += uint64(skipTo - e.now)
+	e.now = skipTo
+	for i := range e.comps {
+		ce := &e.comps[i]
+		if ce.nextTick > skipTo {
+			// Every plain component (SkipBound never passes its next tick),
+			// and every deferring one: SkipBound never passes a deferral
+			// window's end, so open windows ride through unsettled.
+			continue
+		}
+		missed := uint64((skipTo-ce.nextTick)/ce.period) + 1
+		last := ce.nextTick + Cycle(missed-1)*ce.period
+		ce.nextTick += Cycle(missed) * ce.period
+		ce.l.Skipped(missed, last)
 	}
 }
 
@@ -263,16 +308,13 @@ func (e *Engine) NumClocked() int { return len(e.comps) }
 
 // AddClocked registers a component ticked every period cycles (period >= 1),
 // starting at cycle phase%period. Components registered earlier tick earlier
-// within a cycle. If the component implements Quiescer (and optionally
-// SkipAware) the skipping engine consults it; otherwise its every tick is
-// treated as work, bounding any skip.
+// within a cycle. Every tick of a plain component is treated as work,
+// bounding any skip; AddLazy registers one the engine may elide.
 func (e *Engine) AddClocked(c Clocked, period, phase Cycle) {
 	if period == 0 {
 		panic("sim: clock period must be >= 1")
 	}
 	ce := clockedEntry{c: c, period: period, phase: phase % period}
-	ce.q, _ = c.(Quiescer)
-	ce.s, _ = c.(SkipAware)
 	if e.keyed {
 		ce.tag = e.tagBase + uint64(len(e.comps))
 	}
@@ -283,35 +325,28 @@ func (e *Engine) AddClocked(c Clocked, period, phase Cycle) {
 }
 
 // TickHandle lets a lazily-ticked component settle its own deferred ticks
-// the moment external input arrives. Obtain one with MakeLazy.
+// the moment external input arrives. Obtain one with AddLazy.
 type TickHandle struct {
 	e   *Engine
 	idx int
 }
 
-// MakeLazy marks an already-registered clocked component for lazy
-// ticking: when the component is due but reports future-only work, the
-// engine defers the tick instead of running it — even while other
-// components stay busy — and settles the elided ticks in bulk (via
-// Skipped) when the window ends. The component must route every external
-// input through the returned handle's Settle before mutating its state;
-// engine-scheduled events the component targets at itself count as
-// external input too. On the reference engine the returned handle is
-// inert. Panics if c is unregistered or not both Quiescer and SkipAware.
-func (e *Engine) MakeLazy(c Clocked) *TickHandle {
-	for i := range e.comps {
-		ce := &e.comps[i]
-		if ce.c == c {
-			if ce.q == nil || ce.s == nil {
-				panic("sim: MakeLazy needs a Quiescer + SkipAware component")
-			}
-			if !e.reference {
-				ce.lazy = true
-			}
-			return &TickHandle{e: e, idx: i}
-		}
+// AddLazy registers a component like AddClocked, but lets the engine elide
+// its idle ticks: global jumps skip it while it names no work before their
+// target, and when it is due but reports future-only work the engine
+// defers the tick — even while other components stay busy — and settles
+// the elided ticks in bulk (via Skipped) when the window ends. The
+// component must route every external input through the returned handle's
+// Settle before mutating its state; engine-scheduled events the component
+// targets at itself count as external input too. On the reference engine
+// the component is registered plain and the handle is inert.
+func (e *Engine) AddLazy(c Lazy, period, phase Cycle) *TickHandle {
+	e.AddClocked(c, period, phase)
+	i := len(e.comps) - 1
+	if !e.reference {
+		e.comps[i].l = c
 	}
-	panic("sim: MakeLazy on an unregistered component")
+	return &TickHandle{e: e, idx: i}
 }
 
 // Settle applies any ticks of the component that were deferred up to the
@@ -343,7 +378,7 @@ func (e *Engine) settleIdx(i int) {
 	last := ce.settleBase + Cycle(missed-1)*ce.period
 	ce.deferring = false
 	ce.nextTick = ce.settleBase + Cycle(missed)*ce.period
-	ce.s.Skipped(missed, last)
+	ce.l.Skipped(missed, last)
 }
 
 // FlushDeferred settles every open deferral window. Drivers call it
@@ -496,11 +531,11 @@ func (e *Engine) Step() {
 			// then examine the component live (it may defer again at once).
 			e.settleIdx(i)
 		}
-		if ce.lazy {
+		if ce.l != nil {
 			// Input arriving earlier this cycle latched the component busy
 			// (events fired and earlier components ticked already), so an
 			// idle answer here proves the reference tick would be idle too.
-			if next, ok := ce.q.NextWork(e.now); ok && next > e.now {
+			if next, ok := ce.l.NextWork(e.now); ok && next > e.now {
 				ce.deferring = true
 				ce.settleBase = e.now
 				ce.nextTick = lazyBound(e.now, next, ce.period)
@@ -513,92 +548,19 @@ func (e *Engine) Step() {
 	e.scanPos = len(comps)
 }
 
-// skipTarget returns the earliest cycle (capped at limit) at which
-// something observable can happen: the next due event, the next tick of a
-// non-quiescent (or non-Quiescer) component, or the first scheduled tick
-// at or after a quiescent component's declared next-work cycle. A return
-// of now+1 means no cycle may be skipped.
-func (e *Engine) skipTarget(limit Cycle) Cycle {
-	floor := e.now + 1
-	target := limit
-	if len(e.events) > 0 && e.events[0].at < target {
-		target = e.events[0].at
-	}
-	if target <= floor {
-		return floor
-	}
-	for i := range e.comps {
-		ce := &e.comps[i]
-		bound := ce.nextTick
-		if ce.deferring {
-			// nextTick is the deferral window's end — already the first
-			// cycle this component can act; no need to consult it again.
-		} else if ce.q != nil {
-			next, ok := ce.q.NextWork(e.now)
-			if !ok {
-				return floor
-			}
-			if next > ce.nextTick {
-				if next >= target {
-					continue
-				}
-				// First scheduled tick at or after the next-work cycle.
-				bound = ce.nextTick + (next-ce.nextTick+ce.period-1)/ce.period*ce.period
-			}
-		}
-		if bound < target {
-			target = bound
-		}
-		if target <= floor {
-			return floor
-		}
-	}
-	return target
-}
-
-// jump elides the cycles in (now, target): it moves now to target-1,
-// advances every component's nextTick past the elided window, and hands
-// each SkipAware component the count of ticks it missed so it can apply
-// their per-cycle deltas in bulk. The caller then Steps to target, which
-// runs as an ordinary exact cycle.
-func (e *Engine) jump(target Cycle) {
-	skipTo := target - 1
-	e.skipped += uint64(skipTo - e.now)
-	e.now = skipTo
-	for i := range e.comps {
-		ce := &e.comps[i]
-		if ce.nextTick > skipTo {
-			// Also every deferring component: skipTarget never jumps past a
-			// deferral window's end, so open windows ride through unsettled.
-			continue
-		}
-		missed := uint64((skipTo-ce.nextTick)/ce.period) + 1
-		last := ce.nextTick + Cycle(missed-1)*ce.period
-		ce.nextTick += Cycle(missed) * ce.period
-		if ce.s != nil {
-			ce.s.Skipped(missed, last)
-		}
-	}
-}
-
 // Advance moves time forward to the next cycle at which anything can
 // happen, but never to or past limit's end: it skips quiescent cycles and
-// then executes exactly one real Step. With limit <= now+1 (or on the
-// reference engine) it degenerates to a single Step. Callers that poll
-// external conditions (like machine.RunContext's Done check) bound their
-// skips with limit so the poll cadence is unchanged.
+// then executes exactly one real Step. With limit <= now+1 it degenerates
+// to a single Step. Callers that poll external conditions (like
+// machine.RunContext's Done check) bound their skips with limit so the
+// poll cadence is unchanged.
 func (e *Engine) Advance(limit Cycle) {
-	if !e.reference {
-		if target := e.skipTarget(limit); target > e.now+1 {
-			e.jump(target)
-		}
-	}
+	e.JumpTo(e.SkipBound(limit))
 	e.Step()
 }
 
 // Run advances until Stop is called or maxCycles elapse, returning the
-// number of cycles executed. The skipping engine covers quiescent
-// stretches with jumps; the reference engine steps every cycle.
+// number of cycles executed, covering quiescent stretches with jumps.
 func (e *Engine) Run(maxCycles Cycle) Cycle {
 	start := e.now
 	limit := start + maxCycles

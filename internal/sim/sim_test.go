@@ -192,13 +192,18 @@ func (c *quiescentComp) Skipped(n uint64, _ Cycle) { c.cycles += n }
 func TestEngineSkipsQuiescentCycles(t *testing.T) {
 	e, fns := newTestEngine()
 	c := &quiescentComp{busyUntil: 5}
-	e.AddClocked(c, 1, 0)
+	h := e.AddLazy(c, 1, 0)
 	woke := Cycle(0)
-	e.Schedule(1000, fns.desc(func() { woke = e.Now(); c.busyUntil = e.Now() + 3 }))
+	e.Schedule(1000, fns.desc(func() {
+		h.Settle()
+		woke = e.Now()
+		c.busyUntil = e.Now() + 3
+	}))
 	n := e.Run(2000)
 	if n != 2000 || e.Now() != 2000 {
 		t.Fatalf("ran %d cycles to %d, want 2000", n, e.Now())
 	}
+	e.FlushDeferred()
 	if woke != 1000 {
 		t.Fatalf("event fired at %d, want 1000", woke)
 	}
@@ -235,7 +240,7 @@ func (c *roundingComp) Skipped(n uint64, _ Cycle) { c.skips += n }
 func TestSkipRoundsUpToPeriod(t *testing.T) {
 	e := NewEngine(nil)
 	c := &roundingComp{}
-	e.AddClocked(c, 3, 0)
+	e.AddLazy(c, 3, 0)
 	e.Run(30)
 	want := []Cycle{12, 15, 18, 21, 24, 27, 30}
 	if len(c.ticked) != len(want) {
@@ -258,6 +263,7 @@ func TestSkipRoundsUpToPeriod(t *testing.T) {
 type scriptedComp struct {
 	e      *Engine
 	fns    *closures
+	h      *TickHandle
 	r      *Rand
 	busy   Cycle
 	cycles uint64
@@ -274,6 +280,7 @@ func (c *scriptedComp) Tick(now Cycle) {
 		delay := Cycle(c.r.Intn(60) + 1)
 		ext := Cycle(c.r.Intn(20) + 1)
 		c.e.After(delay, c.fns.desc(func() {
+			c.h.Settle()
 			if until := c.e.Now() + ext; until > c.busy {
 				c.busy = until
 			}
@@ -301,10 +308,11 @@ func TestSkippingMatchesReference(t *testing.T) {
 		a := &scriptedComp{e: e, fns: fns, r: NewRand(11), busy: 20}
 		b := &scriptedComp{e: e, fns: fns, r: NewRand(23), busy: 35}
 		slow := &quiescentComp{} // period 8, permanently idle
-		e.AddClocked(a, 1, 0)
-		e.AddClocked(b, 2, 1)
-		e.AddClocked(slow, 8, 0)
+		a.h = e.AddLazy(a, 1, 0)
+		b.h = e.AddLazy(b, 2, 1)
+		e.AddLazy(slow, 8, 0)
 		e.Run(5000)
+		e.FlushDeferred()
 		return a, b, slow
 	}
 	fa, fb, fs := run(NewEngine)

@@ -21,7 +21,7 @@ const Magic = "SMTPSNAP"
 
 // Version is the current format version. Any change to field order,
 // widths or section structure bumps it; Decoders reject other versions.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // Encoder appends primitive values to a growing byte buffer.
 type Encoder struct {

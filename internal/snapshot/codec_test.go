@@ -44,9 +44,12 @@ func TestDecoderCount(t *testing.T) {
 // TestDecoderRejectsOtherVersions: a stream written under another format
 // version fails at the header with the version error. Version 1 streams
 // carried committed stores as uops and tagged MSHR waiters; version 2
-// stores store-buffer entries by value and waiters as sequence numbers.
+// stores store-buffer entries by value and waiters as sequence numbers;
+// version 3 registers two clocked components per Base/Int* node, not
+// three (the controller ticks its protocol processor), so the events that
+// processor schedules carry the controller's tick position.
 func TestDecoderRejectsOtherVersions(t *testing.T) {
-	for _, v := range []uint32{1, Version + 1} {
+	for _, v := range []uint32{1, 2, Version + 1} {
 		b := binary.LittleEndian.AppendUint32([]byte(Magic), v)
 		b = binary.LittleEndian.AppendUint64(b, 0)
 		_, err := NewDecoder(b)

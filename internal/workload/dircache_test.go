@@ -33,7 +33,7 @@ func TestDirectoryCachePressure(t *testing.T) {
 				if !done {
 					t.Fatalf("%v did not complete", tc.model)
 				}
-				*tc.out = outcome{uint64(cyc), m.Nodes[0].PP.Engine.DirMisses()}
+				*tc.out = outcome{uint64(cyc), m.Nodes[0].PP.DirMisses()}
 			})
 		}
 	})
